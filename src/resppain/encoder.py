@@ -158,20 +158,35 @@ def _norm(x: Tensor, params: dict, prefix: str) -> Tensor:
 # ---------------------------------------------------------------------------
 # blocks
 
+def _query(latents: Tensor, params: dict, prefix: str) -> Tensor:
+    return _affine(_norm(latents, params, f"{prefix}.ln_q"), params, f"{prefix}.wq")
+
+
+def latent_query(params: dict) -> Tensor:
+    """Q = wq(ln_q(latents)) of the first cross-attention, block0.cross0.
+
+    It reads only parameters, never the signal, so every signal encoded
+    with the same params shares it: pass the result to `encode` as
+    `query` to compute it once for all of them.
+    """
+    return _query(params["latents"], params, "block0.cross0.attn")
+
+
 def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
-              dropout: float, training: bool, rng: np.random.Generator | None) -> Tensor:
+              dropout: float, training: bool, rng: np.random.Generator | None,
+              query: Tensor | None = None) -> Tensor:
     """Single-head attention of latents over context, residual output.
 
     Pre-norms both operands, projects Q from the latents and K/V from the
     context, scores QK^T / sqrt(d), row-softmaxes, and projects the
     context mixture back through an output matrix before the residual
     add.  Cross-attention passes the token matrix as context;
-    self-attention passes the latents themselves.
+    self-attention passes the latents themselves.  A given `query` is
+    used as Q in place of wq(ln_q(latents)); it must be exactly that.
     """
     d = latents.shape[1]
-    qn = _norm(latents, params, f"{prefix}.ln_q")
+    q = _query(latents, params, prefix) if query is None else query
     kn = _norm(context, params, f"{prefix}.ln_kv")
-    q = _affine(qn, params, f"{prefix}.wq")
     k = _affine(kn, params, f"{prefix}.wk")
     v = _affine(kn, params, f"{prefix}.wv")
     scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / np.sqrt(d))
@@ -193,19 +208,27 @@ def gated_ffn(x: Tensor, params: dict, prefix: str,
 
 
 def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
-           training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+           training: bool = False, rng: np.random.Generator | None = None,
+           query: Tensor | None = None) -> Tensor:
     """Signal (T,) -> embedding (out_dim,).
 
     One signal per call: batching is a caller-side loop, so an embedding
-    never depends on what else shares the batch.
+    never depends on what else shares the batch.  The first
+    cross-attention's query does not depend on the signal either; callers
+    that encode several signals with the same params compute it once with
+    `latent_query(params)` and pass it as `query`.  Left as None, it is
+    computed here, with the same ops and so the same bits.
     """
     dtype = params["latents"].dtype
     tokens = nm.constant(fourier_encode(signal, cfg.fourier_bands, cfg.max_freq_hz), dtype=dtype)
     lat = params["latents"]
+    if query is None:
+        query = latent_query(params)
     for b in range(cfg.depth):
         for c in range(cfg.cross_per_block):
             base = f"block{b}.cross{c}"
-            lat = attention(lat, tokens, params, f"{base}.attn", cfg.dropout, training, rng)
+            lat = attention(lat, tokens, params, f"{base}.attn", cfg.dropout, training, rng,
+                            query=query if b == c == 0 else None)
             lat = gated_ffn(lat, params, f"{base}.ffn", cfg.dropout, training, rng)
             for s in range(cfg.self_per_block):
                 lat = attention(lat, lat, params, f"{base}.self{s}.attn", cfg.dropout, training, rng)

@@ -2,12 +2,32 @@
 
 Everything differentiable in this package goes through the ops defined
 here: a small define-by-run tape over numpy arrays.  Tensors store values
-in float32 by default (float64 available for numerical checks); every
-reduction -- matmul contractions, softmax denominators, norm statistics,
-sums and means -- accumulates in float64 before the result is rounded
-back to the storage dtype.  Tensors are immutable after construction;
-each op returns a new Tensor and records a backward closure, so the tape
-for a forward pass is simply the set of result nodes in creation order.
+in float32 by default (float64 available for numerical checks) and are
+immutable after construction; each op returns a new Tensor and records a
+backward closure, so the tape for a forward pass is simply the set of
+result nodes in creation order.
+
+Precision policy:
+
+- Every reduction (matmul contractions, softmax denominators, norm
+  statistics, sums and means) accumulates in float64 before the result
+  is rounded once back to the storage dtype.  So do ``scale``,
+  ``add_const``, ``dropout`` and the transcendental ops: a float32
+  product with a Python float rounded through float64 is not always the
+  native float32 product.
+- Elementwise ``add`` and ``mul`` of two storage-dtype operands run
+  natively.  The float64 round-trip cannot change a bit there: the sum
+  or product of two p-bit floats rounded first to q bits and then to p
+  bits equals the direct rounding whenever q >= 2p + 2 (Figueroa 1995,
+  "When is double rounding innocuous?"), and 53 >= 2 * 24 + 2.
+- Backward closures capture the operand tensors and widen them to
+  float64 only when the closure runs, so a live tape holds no float64
+  copy of any weight or activation.  ``gelu`` keeps its float64 Phi(x),
+  which costs an ``erf`` to recompute.
+- An op result is adopted, not copied: the array the op has just
+  computed becomes the node's storage and is set read-only.  Only
+  ``Tensor(...)``, ``parameter``, ``constant`` and ``straight_through``
+  take caller arrays, and they copy them before freezing.
 
 RNG is never global: any stochastic op (dropout) takes an explicit
 numpy Generator.
@@ -58,14 +78,16 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_id", "_parents", "_bwd", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        global _next_node_id
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
+        # A private C-ordered copy: a caller-owned buffer is never frozen
+        # in place, nor aliased where the caller could still write to it.
+        arr = np.array(data, dtype=dtype, order="C")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
-        if arr.ndim > 0:          # ascontiguousarray promotes 0-d to (1,)
-            arr = np.ascontiguousarray(arr)
-        if arr is data:           # never freeze a caller-owned buffer in place
-            arr = arr.copy()
+        self._own(arr, requires_grad)
+
+    def _own(self, arr: np.ndarray, requires_grad: bool) -> None:
+        """Take arr as this node's storage, without copying, and freeze it."""
+        global _next_node_id
         arr.flags.writeable = False
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -93,18 +115,20 @@ class Tensor:
 
 def parameter(data, dtype=DEFAULT_DTYPE) -> Tensor:
     """Leaf tensor that collects gradients."""
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
+    return Tensor(data, requires_grad=True, dtype=dtype)
 
 
 def constant(data, dtype=DEFAULT_DTYPE) -> Tensor:
     """Leaf tensor outside the gradient graph."""
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=False)
+    return Tensor(data, requires_grad=False, dtype=dtype)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
-    """Wrap an op result, recording the closure when the tape is live."""
+    """Adopt an op's freshly computed, C-contiguous result array as a new
+    node, recording the closure when the tape is live."""
     track = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=track)
+    out = Tensor.__new__(Tensor)
+    out._own(data, track)
     if track:
         out._parents = parents
         out._bwd = bwd
@@ -138,11 +162,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects 1-D/2-D operands, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    a64 = a.data.astype(np.float64, copy=False)
-    b64 = b.data.astype(np.float64, copy=False)
-    out = _store(a64 @ b64, a)
+    out = _store(a.data.astype(np.float64, copy=False) @ b.data.astype(np.float64, copy=False), a)
 
     def bwd(g: np.ndarray):
+        a64 = a.data.astype(np.float64, copy=False)
+        b64 = b.data.astype(np.float64, copy=False)
         g64 = g.astype(np.float64, copy=False)
         if a.data.ndim == 2 and b.data.ndim == 2:
             ga = g64 @ b64.T
@@ -167,7 +191,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         mode = "bias"
     else:
         raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
-    out = _store(a.data.astype(np.float64) + b.data.astype(np.float64), a)
+    out = np.asarray(a.data + b.data)    # native: see the precision policy above
 
     def bwd(g: np.ndarray):
         if mode == "same":
@@ -199,7 +223,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} * {b.shape}")
-    out = _store(a.data.astype(np.float64) * b.data.astype(np.float64), a)
+    out = np.asarray(a.data * b.data)    # native: see the precision policy above
 
     def bwd(g: np.ndarray):
         return g * b.data, g * a.data
@@ -314,7 +338,8 @@ def gelu(a: Tensor) -> Tensor:
     out = _store(x * phi, a)
 
     def bwd(g: np.ndarray):
-        # d/dx = Phi(x) + x * pdf(x)
+        # d/dx = Phi(x) + x * pdf(x); x is re-widened here, not kept on the tape
+        x = a.data.astype(np.float64)
         pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
         return (g * (phi + x * pdf),)
 
@@ -441,7 +466,7 @@ def straight_through(a: Tensor, forward_value: np.ndarray) -> Tensor:
     The standard estimator for hard discrete decisions made from a soft
     relaxation of the same shape.
     """
-    fv = np.asarray(forward_value, dtype=a.data.dtype)
+    fv = np.array(forward_value, dtype=a.data.dtype, order="C")   # own copy, frozen below
     if fv.shape != a.shape:
         raise ShapeError(f"straight_through value shape {fv.shape} != input {a.shape}")
 

@@ -40,7 +40,7 @@ METRICS_HEADER = "epoch\tlr\ttrain_loss\tval_macro_acc\tval_macro_prec\tval_macr
 
 
 class NumericalError(RuntimeError):
-    """Loss went non-finite; training aborts rather than drifting on."""
+    """Loss or gradient went non-finite; training aborts rather than drifting on."""
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -165,13 +165,28 @@ def preprocess(x: np.ndarray, prep: sig.PreprocessConfig) -> tuple[np.ndarray, n
     return ws.windows, padded
 
 
+def _check_sample_rates(records: list[sig.RespirationRecord], prep: sig.PreprocessConfig) -> None:
+    """Reject records not sampled at the rate the filter and windows assume."""
+    for r in records:
+        if r.sample_rate_hz != prep.sample_rate_hz:
+            raise sig.DataError(f"record {r.subject_id!r} is sampled at {r.sample_rate_hz:g} Hz, "
+                                f"but the pipeline expects {prep.sample_rate_hz:g} Hz")
+
+
 def forward_views(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderConfig,
                   params: dict[str, Tensor], training: bool,
                   rng: np.random.Generator | None) -> tuple[Tensor, Tensor, Tensor]:
-    """Encode every window plus the full signal with the shared encoder."""
-    embeddings = [enc.encode(windows[i], enc_cfg, params, training, rng)
+    """Encode every window plus the full signal with the shared encoder.
+
+    The first cross-attention's query, wq(ln_q(latents)), reads no input,
+    so it is computed once here and shared by all S + 1 encodes.  Each
+    embedding equals, bit for bit, what `enc.encode` gives for its signal
+    alone.  The query path draws no RNG, so dropout draws keep their order.
+    """
+    query = enc.latent_query(params)
+    embeddings = [enc.encode(windows[i], enc_cfg, params, training, rng, query)
                   for i in range(windows.shape[0])]
-    z_full = enc.encode(padded, enc_cfg, params, training, rng)
+    z_full = enc.encode(padded, enc_cfg, params, training, rng, query)
     z_add, z_concat = fus.fuse_windows(embeddings)
     return z_add, z_concat, z_full
 
@@ -253,6 +268,7 @@ def evaluate(records: list[sig.RespirationRecord], enc_cfg: enc.EncoderConfig,
     """Full-pipeline evaluation of raw records (no augmentation)."""
     if not records:
         raise sig.DataError("evaluate needs at least one record")
+    _check_sample_rates(records, prep)
     prepared = []
     for r in records:
         windows, padded = preprocess(r.samples, prep)
@@ -313,6 +329,7 @@ def train(train_records: list[sig.RespirationRecord],
     """
     if not train_records or not val_records:
         raise sig.DataError("train needs non-empty train and val splits")
+    _check_sample_rates([*train_records, *val_records], prep)
     if aug_cfg is None:
         aug_cfg = aug.AugmentConfig()
     n_classes = sig.N_CLASSES
@@ -370,6 +387,10 @@ def train(train_records: list[sig.RespirationRecord],
                 if route is not None:
                     hist[route] += 1
                 nm.backward(nm.scale(loss, 1.0 / len(batch)))
+            for name, p in params.items():
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise NumericalError(f"non-finite gradient for parameter {name!r} at epoch {epoch}; "
+                                         f"aborting before the optimizer step")
             optimizer.step(params, lr)
             nm.zero_grads(params.values())
 

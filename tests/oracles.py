@@ -27,6 +27,14 @@ def matmul_triple_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.astype(a.dtype)
 
 
+def elementwise_f64(op, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """op(a, b) on operands widened to float64 (b broadcast onto a's
+    trailing axis), rounded once to a's dtype."""
+    a = np.asarray(a)
+    with np.errstate(all="ignore"):    # overflow to inf is part of the contract
+        return np.asarray(op(a.astype(np.float64), np.asarray(b, np.float64))).astype(a.dtype)
+
+
 def softmax_rows_f64(x: np.ndarray) -> np.ndarray:
     """Shift-by-max row softmax computed fully in float64."""
     x = np.asarray(x, dtype=np.float64)

@@ -10,6 +10,7 @@ import oracles
 from helpers import gradcheck, weighted_sum
 from resppain import numerics as nm
 from resppain import encoder as enc
+from resppain import training as trn
 
 TINY = enc.EncoderConfig(depth=1, cross_per_block=1, self_per_block=0,
                          n_latents=3, model_dim=8, fourier_bands=2,
@@ -209,13 +210,44 @@ def test_encode_dropout_reproducible_and_stochastic():
 
 
 def test_encode_batch_composition_invariance():
-    # an embedding is a function of its own signal only
+    # an embedding is a function of its own signal only: inside a real
+    # forward pass, where all S + 1 encodes share one first-layer query, each
+    # embedding equals the one encode gives for that signal alone
+    for layout in ((1, 1, 0), (2, 1, 1)):
+        cfg = dataclasses.replace(TINY, depth=layout[0], self_per_block=layout[2])
+        params = _params(cfg, seed=15)
+        rng = np.random.default_rng(16)
+        windows = rng.normal(size=(3, 25)).astype(np.float32)
+        padded = rng.normal(size=75).astype(np.float32)
+        solo = [enc.encode(w, cfg, params).data for w in windows]
+        solo_full = enc.encode(padded, cfg, params).data
+        with nm.no_grad():
+            z_add, z_concat, z_full = trn.forward_views(windows, padded, cfg, params,
+                                                        training=False, rng=None)
+        np.testing.assert_array_equal(z_full.data, solo_full)
+        np.testing.assert_array_equal(z_concat.data, np.concatenate(solo))
+        np.testing.assert_array_equal(
+            z_add.data, nm.add_n([nm.constant(z) for z in solo]).data)
+
+
+def test_forward_views_computes_first_query_once(monkeypatch):
+    # the first cross-attention's query path, wq(ln_q(latents)), reads no
+    # input: one layer_norm of the latents per forward, not one per encode
     params = _params(TINY, seed=15)
-    rng = np.random.default_rng(16)
-    xs = [rng.normal(size=25).astype(np.float32) for _ in range(3)]
-    solo = enc.encode(xs[1], TINY, params).data
-    batched = [enc.encode(x, TINY, params).data for x in xs]
-    np.testing.assert_array_equal(batched[1], solo)
+    windows = np.random.default_rng(17).normal(size=(3, 25)).astype(np.float32)
+    padded = np.random.default_rng(18).normal(size=75).astype(np.float32)
+    real_norm, calls = nm.layer_norm, []
+
+    def counting_norm(a, gain, bias, eps=1e-5):
+        calls.append(a is params["latents"])
+        return real_norm(a, gain, bias, eps)
+
+    monkeypatch.setattr(nm, "layer_norm", counting_norm)
+    for training in (False, True):
+        calls.clear()
+        trn.forward_views(windows, padded, TINY, params, training, np.random.default_rng(0))
+        assert sum(calls) == 1
+        assert len(calls) == 1 + 4 * 2    # plus ln_kv and the FFN norm per encode
 
 
 def test_encode_gradients_reach_every_parameter():

@@ -4,6 +4,10 @@ stale-tape detection, RNG discipline)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import erf
 
 import oracles
 from helpers import gradcheck, weighted_sum
@@ -119,6 +123,58 @@ def test_add_bias_broadcast_and_shape_rules():
     np.testing.assert_allclose(got, m + b, atol=1e-7)
     with pytest.raises(nm.ShapeError):
         nm.add(nm.constant(m), nm.constant(np.zeros(3, dtype=np.float32)))
+
+
+# ---------------------------------------------------------------------------
+# native elementwise add/mul against the float64 round-trip
+
+# float32 bit patterns built from (sign, exponent, mantissa): every pattern
+# can occur, with extra weight on exponent 0 (subnormals and +-0), the
+# smallest normals near 1e-38, the largest near 3e38, and 255 (inf, NaN).
+_EXPONENT = st.one_of(st.integers(0, 255), st.integers(0, 2), st.integers(252, 255))
+_MANTISSA = st.one_of(st.integers(0, 2 ** 23 - 1), st.sampled_from([0, 1, 2 ** 23 - 1]))
+_F32_BITS = st.builds(lambda s, e, m: (s << 31) | (e << 23) | m,
+                      st.integers(0, 1), _EXPONENT, _MANTISSA)
+
+
+def _f32(shape):
+    return hnp.arrays(np.uint32, shape, elements=_F32_BITS).map(lambda u: u.view(np.float32))
+
+
+@st.composite
+def _operands(draw, form):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=8))
+    if form == "bias":
+        shape = (shape[0], shape[-1])
+        return draw(_f32(shape)), draw(_f32(shape[1:]))
+    return draw(_f32(shape)), draw(_f32(shape))
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray):
+    # bit for bit, except that any NaN matches any NaN
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.uint32)[~nan], want.view(np.uint32)[~nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["add", "bias", "mul"]).flatmap(lambda f: st.tuples(st.just(f), _operands(f))))
+def test_native_add_mul_equal_float64_round_trip(case):
+    form, (a, b) = case
+    op, np_op = (nm.mul, np.multiply) if form == "mul" else (nm.add, np.add)
+    with np.errstate(all="ignore"):
+        got = op(nm.constant(a), nm.constant(b)).data
+    _assert_same_bits(got, oracles.elementwise_f64(np_op, a, b))
+
+
+def test_scale_keeps_float64_path_where_native_differs():
+    # 1/sqrt(32) is the attention score scale at model width 32
+    s = 1.0 / np.sqrt(32.0)
+    x = np.array([0x3F5A63DC], dtype=np.uint32).view(np.float32)    # 0.85308623...
+    f64_path = oracles.elementwise_f64(np.multiply, x, s)
+    assert x * np.float32(s) != f64_path                             # native would round differently
+    _assert_same_bits(nm.scale(nm.constant(x), s).data, f64_path)
 
 
 def test_shape_plumbing_forward():
@@ -314,3 +370,72 @@ def test_tensor_data_is_immutable():
 def test_default_dtype_is_float32():
     assert nm.parameter([1.0, 2.0]).data.dtype == np.float32
     assert nm.parameter([1.0], dtype=np.float64).data.dtype == np.float64
+
+
+# ---------------------------------------------------------------------------
+# ownership: adopted results, copied inputs, lean closures
+
+def _every_op_output():
+    rng = np.random.default_rng(40)
+    m = nm.parameter(rng.normal(size=(3, 4)))
+    row = nm.parameter(rng.normal(size=(1, 4)))
+    v = nm.parameter(rng.normal(size=4))
+    g, b = nm.parameter(np.ones(4)), nm.parameter(np.zeros(4))
+    return {
+        "matmul": nm.matmul(m, nm.transpose(m)), "add": nm.add(m, m), "bias": nm.add(m, v),
+        "add_n": nm.add_n([v, v, v]), "sub": nm.sub(v, v), "mul": nm.mul(m, m),
+        "scale": nm.scale(m, 0.3), "add_const": nm.add_const(m, 1.5),
+        "transpose": nm.transpose(m), "transpose_row": nm.transpose(row),
+        "concat_vec": nm.concat_vec([v, v]), "stack_rows": nm.stack_rows([v, v]),
+        "mean_axis0": nm.mean_axis0(m), "sum_all": nm.sum_all(m), "gelu": nm.gelu(m),
+        "sigmoid": nm.sigmoid(m), "softmax_rows": nm.softmax_rows(m),
+        "log_softmax": nm.log_softmax(v), "layer_norm": nm.layer_norm(m, g, b),
+        "dropout": nm.dropout(m, 0.5, True, np.random.default_rng(0)),
+        "straight_through": nm.straight_through(v, np.ones(4)),
+    }
+
+
+def test_every_op_output_is_read_only_and_contiguous():
+    for name, out in _every_op_output().items():
+        assert not out.data.flags.writeable, name
+        assert out.data.flags.c_contiguous, name
+        with pytest.raises(ValueError):
+            out.data[...] = 0.0
+
+
+@pytest.mark.parametrize("make", [
+    nm.parameter,
+    nm.constant,
+    lambda buf: nm.straight_through(nm.parameter(np.zeros(buf.shape)), buf),
+])
+def test_caller_buffers_are_copied_not_frozen(make):
+    base = np.arange(12, dtype=np.float32).reshape(3, 4)
+    for buf in (base, base[:, ::2], base[1]):    # contiguous, strided, row view
+        t = make(buf)
+        assert buf.flags.writeable
+        assert not np.shares_memory(t.data, buf)
+        before = t.data.copy()
+        buf[...] = -1.0
+        np.testing.assert_array_equal(t.data, before)
+        base[...] = np.arange(12, dtype=np.float32).reshape(3, 4)
+
+
+def _closure_arrays(t: nm.Tensor) -> list[np.ndarray]:
+    return [c.cell_contents for c in t._bwd.__closure__ or ()
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+def test_backward_closures_hold_no_float64_operand_copies():
+    rng = np.random.default_rng(41)
+    a = nm.parameter(rng.normal(size=(6, 5)))
+    b = nm.parameter(rng.normal(size=(5, 4)))
+    prod = nm.matmul(a, b)
+    assert prod.dtype == np.float32
+    assert not [x for x in _closure_arrays(prod) if x.dtype == np.float64]
+    act = nm.gelu(prod)
+    wide = [x for x in _closure_arrays(act) if x.dtype == np.float64]
+    # gelu keeps exactly one float64 array, Phi(x), which costs an erf to
+    # recompute; the widened operand itself is rebuilt when backward runs
+    x64 = prod.data.astype(np.float64)
+    assert len(wide) == 1
+    np.testing.assert_array_equal(wide[0], 0.5 * (1.0 + erf(x64 / np.sqrt(2.0))))

@@ -279,6 +279,49 @@ def test_train_numerical_abort(monkeypatch):
         trn.train(records, records, ENC, _quick_cfg(), PREP)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_train_aborts_on_non_finite_gradient(monkeypatch, bad):
+    # the loss stays finite; one gradient entry is forced non-finite after
+    # backward, and the optimizer must never see it
+    records = _dataset()
+    real_init, real_backward = trn.init_pipeline_params, nm.backward
+    target = {}
+
+    def capture(*args, **kw):
+        params = real_init(*args, **kw)
+        target["t"] = params["proj.b"]
+        return params
+
+    def poisoned_backward(loss):
+        grads = real_backward(loss)
+        target["t"].grad[0] = bad
+        return grads
+
+    def no_step(self, params, lr):
+        raise AssertionError("optimizer stepped on a non-finite gradient")
+
+    monkeypatch.setattr(trn, "init_pipeline_params", capture)
+    monkeypatch.setattr(nm, "backward", poisoned_backward)
+    monkeypatch.setattr(trn.Adam, "step", no_step)
+    with pytest.raises(trn.NumericalError, match="'proj.b'"):
+        trn.train(records, records, ENC, _quick_cfg(), PREP)
+
+
+def test_train_and_evaluate_reject_mismatched_sample_rate():
+    records = _dataset()
+    slow = sig.RespirationRecord(samples=records[0].samples, sample_rate_hz=50.0,
+                                 subject_id="slow-50hz", label=records[0].label)
+    assert PREP.sample_rate_hz == 100.0
+    with pytest.raises(sig.DataError, match="slow-50hz"):
+        trn.train(records + [slow], records, ENC, _quick_cfg(), PREP)
+    with pytest.raises(sig.DataError, match="slow-50hz"):
+        trn.train(records, [slow] + records, ENC, _quick_cfg(), PREP)
+    params = trn.init_pipeline_params(ENC, fus.DEFAULT_VARIANT, PREP.n_windows, sig.N_CLASSES,
+                                      np.random.default_rng(0))
+    with pytest.raises(sig.DataError, match="slow-50hz"):
+        trn.evaluate(records[:1] + [slow], ENC, params, PREP)
+
+
 def test_train_periodic_checkpoints(tmp_path):
     records = _dataset()
     cfg = _quick_cfg(epochs=4, checkpoint_interval=2, warmup_epochs=0, cooldown_epochs=0)
