@@ -14,6 +14,13 @@ a per-token part (tokenization, K/V projections, attention scores and
 mixing).  Attention is linear in token count, so the per-token work of
 the window pass is counted over the input samples that tile the windows;
 the zero-pad tail of the last window is excluded by convention.
+
+These analytic FLOPs keep the paper's convention, against which
+`REFERENCE_COSTS` compares them: every token is projected to a key and a
+value at model width.  The executed forward contracts the scores and the
+value mix through the c+1 wide tokens instead (`encoder.attention`), so
+it does fewer FLOPs than counted here: a measured executed-to-analytic
+ratio below 1 is by design, not a missed term.
 """
 
 from __future__ import annotations

@@ -1,13 +1,17 @@
 """Cross-attention latent encoder for 1-D physiological signals.
 
 A fixed array of learnable latent vectors (N x d) queries the signal:
-samples become Fourier-featurized tokens, one single-head cross-attention
-layer projects them to keys/values in model width, and the latents attend
-to all of them at once.  Optional self-attention layers mix the latents
-after each cross-attention, and a gated feed-forward block follows every
-attention module.  Mean-pooling the final latents plus a learned linear
-projection yields one embedding per input signal, independent of the
-signal's length.
+samples become Fourier-featurized tokens, (T, c), and the latents attend
+to all of them at once through one single-head cross-attention layer.
+Its keys and values are affine maps of the normed tokens into model
+width, but they are never built: the scores and the value mix contract
+through the c+1 wide matrix [ln_kv(tokens) | 1] and the stacked weights
+[w ; b], whose ones column carries each bias exactly (see `attention`).
+So the per-token cost is O(N c), not O(N d + c d).  Optional
+self-attention layers mix the latents after each cross-attention, and a
+gated feed-forward block follows every attention module.  Mean-pooling
+the final latents plus a learned linear projection yields one embedding
+per input signal, independent of the signal's length.
 
 All attention blocks are pre-layer-norm with residual connections;
 dropout acts on each attention output and on each FFN's gated hidden
@@ -158,18 +162,22 @@ def _norm(x: Tensor, params: dict, prefix: str) -> Tensor:
 # ---------------------------------------------------------------------------
 # blocks
 
-def _query(latents: Tensor, params: dict, prefix: str) -> Tensor:
-    return _affine(_norm(latents, params, f"{prefix}.ln_q"), params, f"{prefix}.wq")
+def _score_query(latents: Tensor, params: dict, prefix: str) -> Tensor:
+    """(q Wk1^T) / sqrt(d) with q = wq(ln_q(latents)): the latent half of
+    the attention scores, (n, c+1), where Wk1 = [wk.w ; wk.b]."""
+    q = _affine(_norm(latents, params, f"{prefix}.ln_q"), params, f"{prefix}.wq")
+    wk1 = nm.stack_rows([params[f"{prefix}.wk.w"], params[f"{prefix}.wk.b"]])
+    return nm.scale(nm.matmul(q, nm.transpose(wk1)), 1.0 / np.sqrt(latents.shape[1]))
 
 
 def latent_query(params: dict) -> Tensor:
-    """Q = wq(ln_q(latents)) of the first cross-attention, block0.cross0.
+    """(q Wk1^T) / sqrt(d) of the first cross-attention, block0.cross0.
 
     It reads only parameters, never the signal, so every signal encoded
     with the same params shares it: pass the result to `encode` as
     `query` to compute it once for all of them.
     """
-    return _query(params["latents"], params, "block0.cross0.attn")
+    return _score_query(params["latents"], params, "block0.cross0.attn")
 
 
 def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
@@ -177,22 +185,31 @@ def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
               query: Tensor | None = None) -> Tensor:
     """Single-head attention of latents over context, residual output.
 
-    Pre-norms both operands, projects Q from the latents and K/V from the
-    context, scores QK^T / sqrt(d), row-softmaxes, and projects the
-    context mixture back through an output matrix before the residual
-    add.  Cross-attention passes the token matrix as context;
-    self-attention passes the latents themselves.  A given `query` is
-    used as Q in place of wq(ln_q(latents)); it must be exactly that.
+    Computes wo(softmax(Q K^T / sqrt(d)) V) with Q = wq(ln_q(latents)),
+    K = wk(kn), V = wv(kn) and kn = ln_kv(context), (T, c), but never
+    builds K or V: by associativity it contracts through the c+1 wide
+    token matrix K1 = [kn | 1] instead,
+
+        scores = ((Q Wk1^T) / sqrt(d)) K1^T     mix = (weights K1) Wv1
+
+    with Wk1 = [wk.w ; wk.b] and Wv1 = [wv.w ; wv.b], (c+1, d).  The
+    ones column of K1 carries both biases exactly.  No array of the
+    forward pass or its tape is (T, d), so cross-attention costs
+    O(n T c) besides its fixed O(n d^2) latent work; self-attention
+    (c = d, T = n) does the same FLOPs as the K/V form.  Dropout acts on
+    the (n, d) output before the residual add.  Cross-attention passes
+    the token matrix as context; self-attention passes the latents
+    themselves.  A given `query` is used in place of the scores' latent
+    half (Q Wk1^T) / sqrt(d); it must be exactly that (`latent_query`).
     """
-    d = latents.shape[1]
-    q = _query(latents, params, prefix) if query is None else query
+    a = _score_query(latents, params, prefix) if query is None else query
     kn = _norm(context, params, f"{prefix}.ln_kv")
-    k = _affine(kn, params, f"{prefix}.wk")
-    v = _affine(kn, params, f"{prefix}.wv")
-    scores = nm.scale(nm.matmul(q, nm.transpose(k)), 1.0 / np.sqrt(d))
-    weights = nm.softmax_rows(scores)
-    mixed = _affine(nm.matmul(weights, v), params, f"{prefix}.wo")
-    mixed = nm.dropout(mixed, dropout, training, rng)
+    ones = nm.constant(np.ones(kn.shape[0]), dtype=kn.dtype)
+    k1t = nm.stack_rows([nm.transpose(kn), ones])
+    weights = nm.softmax_rows(nm.matmul(a, k1t))
+    wv1 = nm.stack_rows([params[f"{prefix}.wv.w"], params[f"{prefix}.wv.b"]])
+    mixed = nm.matmul(nm.matmul(weights, nm.transpose(k1t)), wv1)
+    mixed = nm.dropout(_affine(mixed, params, f"{prefix}.wo"), dropout, training, rng)
     return nm.add(latents, mixed)
 
 
@@ -213,11 +230,12 @@ def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
     """Signal (T,) -> embedding (out_dim,).
 
     One signal per call: batching is a caller-side loop, so an embedding
-    never depends on what else shares the batch.  The first
-    cross-attention's query does not depend on the signal either; callers
-    that encode several signals with the same params compute it once with
-    `latent_query(params)` and pass it as `query`.  Left as None, it is
-    computed here, with the same ops and so the same bits.
+    never depends on what else shares the batch.  The latent half of the
+    first cross-attention's scores, (Q Wk1^T) / sqrt(d), does not depend
+    on the signal either; callers that encode several signals with the
+    same params compute it once with `latent_query(params)` and pass it
+    as `query`.  Left as None, it is computed here, with the same ops and
+    so the same bits.
     """
     dtype = params["latents"].dtype
     tokens = nm.constant(fourier_encode(signal, cfg.fourier_bands, cfg.max_freq_hz), dtype=dtype)

@@ -30,12 +30,16 @@ Precision policy:
   take caller arrays, and they copy them before freezing.
 
 RNG is never global: any stochastic op (dropout) takes an explicit
-numpy Generator.
+numpy Generator.  Tape state is not global either: whether ops record is
+a context variable, so ``no_grad()`` in one thread leaves recording on
+in every other thread, and node ids come from one shared counter.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
+import itertools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -55,20 +59,21 @@ class TapeError(RuntimeError):
     """Raised when backward is invoked on an already-consumed tape."""
 
 
-_grad_enabled = True
-_next_node_id = 0
+_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar("grad_enabled", default=True)
+# next() on a C-level count is atomic under the GIL: ids stay unique
+# across threads, and creation order stays a topological order.
+_node_ids = itertools.count()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (evaluation paths)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block (evaluation paths), in
+    this thread (or context) only."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -87,13 +92,11 @@ class Tensor:
 
     def _own(self, arr: np.ndarray, requires_grad: bool) -> None:
         """Take arr as this node's storage, without copying, and freeze it."""
-        global _next_node_id
         arr.flags.writeable = False
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._id = _next_node_id
-        _next_node_id += 1
+        self._id = next(_node_ids)
         self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable[[np.ndarray], tuple] | None = None
         self._consumed = False
@@ -126,7 +129,7 @@ def constant(data, dtype=DEFAULT_DTYPE) -> Tensor:
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
     """Adopt an op's freshly computed, C-contiguous result array as a new
     node, recording the closure when the tape is live."""
-    track = _grad_enabled and any(p.requires_grad for p in parents)
+    track = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = Tensor.__new__(Tensor)
     out._own(data, track)
     if track:
@@ -290,17 +293,23 @@ def concat_vec(parts: list[Tensor]) -> Tensor:
 
 
 def stack_rows(rows: list[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a (R, L) matrix."""
+    """Stack length-L vectors and (r, L) blocks, top to bottom, into one
+    (R, L) matrix: a vector adds one row, a block adds its r rows."""
     if not rows:
         raise ShapeError("stack_rows needs at least one tensor")
     _check_same_dtype(*rows)
-    lens = {r.shape for r in rows}
-    if len(lens) > 1 or rows[0].data.ndim != 1:
-        raise ShapeError(f"stack_rows expects equal-length vectors, got {[r.shape for r in rows]}")
-    out = np.stack([r.data for r in rows])
+    if any(r.data.ndim not in (1, 2) for r in rows) or len({r.shape[-1] for r in rows}) > 1:
+        raise ShapeError(f"stack_rows expects vectors and matrices of one row length, "
+                         f"got {[r.shape for r in rows]}")
+    out = np.concatenate([r.data.reshape(-1, r.shape[-1]) for r in rows])
 
     def bwd(g: np.ndarray):
-        return tuple(g[i] for i in range(len(rows)))
+        grads, off = [], 0
+        for r in rows:
+            n = r.shape[0] if r.data.ndim == 2 else 1
+            grads.append(g[off:off + n].reshape(r.shape))
+            off += n
+        return tuple(grads)
 
     return _result(out, tuple(rows), bwd)
 

@@ -178,10 +178,12 @@ def forward_views(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderC
                   rng: np.random.Generator | None) -> tuple[Tensor, Tensor, Tensor]:
     """Encode every window plus the full signal with the shared encoder.
 
-    The first cross-attention's query, wq(ln_q(latents)), reads no input,
-    so it is computed once here and shared by all S + 1 encodes.  Each
-    embedding equals, bit for bit, what `enc.encode` gives for its signal
-    alone.  The query path draws no RNG, so dropout draws keep their order.
+    The latent half of the first cross-attention's scores,
+    (wq(ln_q(latents)) Wk1^T) / sqrt(d) (`enc.latent_query`), reads no
+    input, so it is computed once here and shared by all S + 1 encodes.
+    Each embedding equals, bit for bit, what `enc.encode` gives for its
+    signal alone.  That path draws no RNG, so dropout draws keep their
+    order.
     """
     query = enc.latent_query(params)
     embeddings = [enc.encode(windows[i], enc_cfg, params, training, rng, query)

@@ -111,12 +111,17 @@ def _attention_param_pack(kv_dim, cfg, seed):
 
 def test_attention_matches_brute_force_oracle():
     # element-by-element float64 reimplementation, tolerance 1e-5
+    # token counts up to 64 and token widths up to 14 cover c < d, c = d
+    # and c > d; biases are drawn non-zero so the ones column that carries
+    # wk.b and wv.b through the token-width contraction is exercised
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
-        n, t, d = rng.integers(1, 4), rng.integers(1, 5), int(rng.choice([2, 4]))
-        kv_dim = int(rng.integers(2, 6))
+        n, t, d = rng.integers(1, 4), rng.integers(1, 65), int(rng.choice([2, 4]))
+        kv_dim = int(rng.integers(2, 15))
         cfg = dataclasses.replace(TINY, n_latents=int(n), model_dim=d)
         params = _attention_param_pack(kv_dim, cfg, seed)
+        for name in [k for k in params if k.endswith(".b")]:
+            params[name] = nm.parameter(rng.normal(0.0, 0.3, params[name].shape))
         lat = rng.normal(size=(n, d)).astype(np.float32)
         ctx = rng.normal(size=(t, kv_dim)).astype(np.float32)
         got = enc.attention(nm.constant(lat), nm.constant(ctx), params, "a",
@@ -130,6 +135,55 @@ def test_attention_matches_brute_force_oracle():
             params["a.ln_q.g"].data, params["a.ln_q.b"].data,
             params["a.ln_kv.g"].data, params["a.ln_kv.b"].data)
         assert oracles.rel_err(got, want, floor=1e-3) < 1e-5, seed
+
+
+def test_attention_builds_no_token_by_model_width_array(monkeypatch):
+    # keys and values are never materialized: with T tokens of width c and
+    # model width d (all of T, n, d, c + 1 distinct), no op result of one
+    # recorded cross-attention, its latent half included, has both a T and
+    # a d axis
+    n, d, c, t = 3, 8, 5, 11
+    cfg = dataclasses.replace(TINY, n_latents=n, model_dim=d)
+    params = _attention_param_pack(c, cfg, seed=9)
+    rng = np.random.default_rng(10)
+    lat = nm.parameter(rng.normal(size=(n, d)))
+    ctx = nm.constant(rng.normal(size=(t, c)))
+    real_result, shapes = nm._result, []
+
+    def recording_result(data, parents, bwd):
+        shapes.append(data.shape)
+        return real_result(data, parents, bwd)
+
+    monkeypatch.setattr(nm, "_result", recording_result)
+    enc.attention(lat, ctx, params, "a", dropout=0.2, training=True, rng=np.random.default_rng(0))
+    assert (n, t) in shapes                       # the scores themselves
+    assert not [s for s in shapes if t in s and d in s], shapes
+
+
+def test_attention_gradcheck_token_width_below_model_width():
+    # float64 finite differences through every input of one cross-attention
+    # with c < d < T, so the (c+1)-wide contraction and both stacked biases
+    # are checked at shapes where c and d cannot be confused.  wk.b shifts
+    # each latent's scores by one constant, which softmax ignores: its true
+    # gradient is zero, so it is held at a non-zero value for the finite
+    # differences and its tape gradient is checked to vanish instead.
+    n, c, d, t = 3, 4, 8, 12
+    cfg = dataclasses.replace(TINY, n_latents=n, model_dim=d)
+    template = _attention_param_pack(c, cfg, seed=0)
+    wk_b = nm.constant(np.random.default_rng(30).normal(size=d), dtype=np.float64)
+    names = [k for k in template if k != "a.wk.b"]
+    shapes = [(n, d), (t, c)] + [template[k].shape for k in names]
+
+    def build(tensors, bias=wk_b):
+        params = dict(zip(names, tensors[2:]), **{"a.wk.b": bias})
+        return weighted_sum(enc.attention(tensors[0], tensors[1], params, "a", 0.0, False, None), seed=3)
+
+    assert gradcheck(build, shapes, seed=31) < 1e-5
+    rng = np.random.default_rng(32)
+    inputs = [nm.parameter(rng.normal(0.0, 0.5, s), dtype=np.float64) for s in shapes]
+    bias = nm.parameter(wk_b.data, dtype=np.float64)
+    grads = nm.backward(build(inputs, bias))
+    assert np.abs(grads[bias]).max() < 1e-12 * np.abs(grads[inputs[names.index("a.wk.w") + 2]]).max()
 
 
 def test_attention_single_token_ignores_queries():
@@ -274,6 +328,31 @@ def test_encode_gradcheck_tiny():
 
     err = gradcheck(build, shapes, seed=21)
     assert err < 1e-4
+
+
+def test_encode_gradcheck_token_width_below_model_width_with_self_layer():
+    # c = 4 < d = 8 < T = 12, with a self-attention layer (c = d) after the
+    # cross-attention: both uses of the one attention path, end to end.
+    # Each wk.b has a zero true gradient (softmax ignores a per-row shift),
+    # so it is held at a non-zero constant, as in the attention gradcheck.
+    # The self layer's wq/wk gradients have entries near 1e-3, whose central
+    # differences carry ~1e-4 relative roundoff at h = 1e-6; h = 1e-5 does not.
+    cfg = dataclasses.replace(TINY, n_latents=2, model_dim=8, fourier_bands=1,
+                              self_per_block=1, ffn_expansion=1, out_dim=2)
+    assert cfg.token_dim == 4
+    base = enc.init_encoder_params(cfg, np.random.default_rng(32), dtype=np.float64)
+    rng = np.random.default_rng(35)
+    fixed = {k: nm.constant(rng.normal(size=v.shape), dtype=np.float64)
+             for k, v in base.items() if k.endswith(".wk.b")}
+    names = [k for k in base if k not in fixed]
+    shapes = [base[k].shape for k in names]
+    x = np.random.default_rng(33).normal(size=12).astype(np.float64)
+
+    def build(tensors):
+        params = dict(zip(names, tensors), **fixed)
+        return weighted_sum(enc.encode(x, cfg, params), seed=4)
+
+    assert gradcheck(build, shapes, seed=34, h=1e-5) < 1e-4
 
 
 def test_encode_deeper_layouts_run():

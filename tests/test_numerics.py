@@ -2,6 +2,8 @@
 against central differences, and the bookkeeping contracts (dtype rules,
 stale-tape detection, RNG discipline)."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,9 @@ def test_shape_plumbing_forward():
             nm.constant(np.array([3.0, 4.0], dtype=np.float32))]
     np.testing.assert_array_equal(nm.stack_rows(rows).data,
                                   np.array([[1, 2], [3, 4]], dtype=np.float32))
+    block = nm.constant(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], dtype=np.float32))
+    np.testing.assert_array_equal(nm.stack_rows([block, rows[0]]).data,
+                                  np.array([[1, 2], [3, 4], [5, 6], [1, 2]], dtype=np.float32))
     np.testing.assert_allclose(nm.mean_axis0(nm.constant(a)).data, a.mean(axis=0), atol=1e-7)
     np.testing.assert_allclose(float(nm.sum_all(nm.constant(a)).data), a.sum(dtype=np.float64),
                                atol=1e-6)
@@ -252,6 +257,8 @@ def test_grad_shape_plumbing():
     err = gradcheck(lambda p: weighted_sum(nm.concat_vec([p[0], p[1]])), [(4,), (3,)], seed=23)
     assert err < TOL
     err = gradcheck(lambda p: weighted_sum(nm.stack_rows([p[0], p[1]])), [(4,), (4,)], seed=24)
+    assert err < TOL
+    err = gradcheck(lambda p: weighted_sum(nm.stack_rows([p[0], p[1]])), [(3, 4), (4,)], seed=28)
     assert err < TOL
     err = gradcheck(lambda p: weighted_sum(nm.mean_axis0(p[0])), [(5, 3)], seed=25)
     assert err < TOL
@@ -350,6 +357,41 @@ def test_no_grad_blocks_recording():
     assert not loss.requires_grad
     with pytest.raises(nm.TapeError):
         nm.backward(loss)
+
+
+def test_no_grad_is_local_to_its_thread():
+    # thread A holds no_grad() open while thread B records a graph and
+    # backpropagates through it; B's tape must be live all the while
+    inside, done = threading.Event(), threading.Event()
+    recorded = {}
+
+    def hold_no_grad():
+        with nm.no_grad():
+            inside.set()
+            done.wait(timeout=30)
+            recorded["a"] = nm.mul(x, x).requires_grad
+
+    def record_and_backward():
+        try:
+            recorded["a_inside"] = inside.wait(timeout=30)
+            loss = nm.sum_all(nm.mul(x, nm.scale(x, 3.0)))
+            recorded["b"] = loss.requires_grad
+            recorded["grads"] = nm.backward(loss)
+        finally:
+            done.set()
+
+    x = nm.parameter(np.array([1.0, -2.0]), dtype=np.float64)
+    threads = [threading.Thread(target=hold_no_grad), threading.Thread(target=record_and_backward)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert recorded["a_inside"]
+    assert recorded["a"] is False
+    assert recorded["b"] is True
+    np.testing.assert_allclose(recorded["grads"][x], [6.0, -12.0], atol=1e-12)
+    assert nm.mul(x, x).requires_grad      # and this thread never left recording
 
 
 def test_leaf_grad_accumulation_and_zero():
