@@ -62,7 +62,7 @@ def _noise_for_snr(x: np.ndarray, snr: float, rng: np.random.Generator) -> np.nd
         raise ValueError(f"snr must be positive, got {snr}")
     power = float(np.mean(np.asarray(x, dtype=np.float64) ** 2))
     if power == 0.0:
-        logger.warning("add_noise_snr: zero-power signal left unchanged")
+        logger.warning("noise augmentation: zero-power signal left unchanged")
         return np.asarray(x, dtype=np.float32).copy()
     sigma = np.sqrt(power / snr)
     return (np.asarray(x, dtype=np.float64) + sigma * rng.standard_normal(x.shape)).astype(np.float32)
@@ -72,12 +72,6 @@ def draw_snr(rng: np.random.Generator, k_range: tuple[float, float] = (1.0, 1000
     """k ~ U(k_range), then SNR ~ U(0.001k, 0.005k)."""
     k = rng.uniform(k_range[0], k_range[1])
     return float(rng.uniform(SNR_COEFF_LOW * k, SNR_COEFF_HIGH * k))
-
-
-def add_noise_snr(x: np.ndarray, rng: np.random.Generator,
-                  k_range: tuple[float, float] = (1.0, 1000.0)) -> np.ndarray:
-    """Additive Gaussian noise at a freshly drawn SNR (linear power ratio)."""
-    return _noise_for_snr(x, draw_snr(rng, k_range), rng)
 
 
 def _mask_params(n: int, fraction: float, anchor: str) -> tuple[int, int]:
@@ -92,24 +86,6 @@ def _mask_params(n: int, fraction: float, anchor: str) -> tuple[int, int]:
     else:
         raise ValueError(f"unknown mask anchor {anchor!r}")
     return start, m
-
-
-def mask_block(x: np.ndarray, rng: np.random.Generator,
-               fraction_range: tuple[float, float] = (0.10, 0.30)) -> np.ndarray:
-    """Zero one contiguous block of round(fraction * len) samples.
-
-    fraction ~ U(fraction_range); the block sits at the beginning, the
-    center, or the end with equal probability.
-    """
-    x = np.asarray(x, dtype=np.float32)
-    if x.size < MIN_MASK_LEN:
-        raise ValueError(f"mask_block needs at least {MIN_MASK_LEN} samples, got {x.size}")
-    fraction = rng.uniform(fraction_range[0], fraction_range[1])
-    anchor = MASK_ANCHORS[rng.integers(len(MASK_ANCHORS))]
-    start, m = _mask_params(x.size, fraction, anchor)
-    out = x.copy()
-    out[start:start + m] = 0.0
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Command-line entry points: synth, train, eval, profile.
 
 Configuration is flat ``key = value`` text under ``[section]`` headers
-(INI syntax).  Every key is validated against the schema below; an
-unknown section or key is a hard error naming it.  Exit codes: 0 ok,
+(INI syntax).  Every key is validated against the schema below, which
+is derived from the config dataclasses; an unknown section or key is a
+hard error naming it, and float values must be finite.  Exit codes: 0 ok,
 2 usage or config error, 3 data error, 4 numerical error (including a
 corrupt checkpoint).
 
@@ -31,10 +32,10 @@ import argparse
 import configparser
 import dataclasses
 import logging
+import math
 import sys
+import typing
 from pathlib import Path
-
-import numpy as np
 
 from . import augment as aug
 from . import cost
@@ -58,6 +59,14 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config schema
 
+def finite_float(s: str) -> float:
+    """float(s), rejecting nan and +-inf; parses config floats and --window-seconds."""
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"must be a finite number, got {s!r}")
+    return v
+
+
 def _parse_bool(s: str) -> bool:
     v = s.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -70,55 +79,78 @@ def _parse_bool(s: str) -> bool:
 def _parse_range(s: str) -> tuple[float, float]:
     parts = [p.strip() for p in s.split(",")]
     if len(parts) == 1:
-        v = float(parts[0])
+        v = finite_float(parts[0])
         return (v, v)
     if len(parts) == 2:
-        return (float(parts[0]), float(parts[1]))
+        return (finite_float(parts[0]), finite_float(parts[1]))
     raise ValueError(f"expected 'low,high' or a single value, got {s!r}")
 
 
-_SCHEMA: dict[str, dict[str, type | object]] = {
-    "data": {
-        "manifest": str,
-        "sample_rate_hz": float,
-        "filter_enabled": _parse_bool,
-        "filter_low_hz": float,
-        "filter_high_hz": float,
-        "pad_len": int,
-    },
-    "encoder": {
-        "depth": int,
-        "cross_per_block": int,
-        "self_per_block": int,
-        "n_latents": int,
-        "model_dim": int,
-        "fourier_bands": int,
-        "max_freq_hz": float,
-        "ffn_expansion": int,
-        "dropout": float,
-        "out_dim": int,
-    },
-    "train": {
-        "epochs": int,
-        "batch_size": int,
-        "lr": float,
-        "label_smoothing": float,
-        "warmup_epochs": int,
-        "cooldown_epochs": int,
-        "seed": int,
-        "window_seconds": float,
-        "fusion_variant": str,
-        "checkpoint_interval": int,
-        "augment_enabled": _parse_bool,
-    },
-    "augment": {
-        "polarity_prob": _parse_range,
-        "noise_prob": _parse_range,
-        "mask_prob": _parse_range,
-        "mask_fraction": _parse_range,
-        "noise_k": _parse_range,
-    },
+def _format_float(v: float) -> str:
+    """10 significant digits, or all a value needs to read back exactly."""
+    short = f"{v:.10g}"
+    return short if float(short) == v else repr(float(v))
+
+
+# field type -> (parser of its config text, formatter back to that text)
+_KINDS: dict[object, tuple] = {
+    int: (int, str),
+    float: (finite_float, _format_float),
+    bool: (_parse_bool, lambda v: str(v).lower()),
+    str: (str, str),
+    tuple[float, float]: (_parse_range, lambda r: ",".join(map(_format_float, r))),
 }
+
+
+class _Key(typing.NamedTuple):
+    owner: str    # RunSettings attribute whose field holds the value ("" for RunSettings itself)
+    field: str
+    kind: object  # the field's type, a _KINDS key
+
+
+@dataclasses.dataclass
+class RunSettings:
+    enc_cfg: enc.EncoderConfig
+    train_cfg: trn.TrainConfig
+    prep: sig.PreprocessConfig
+    aug_cfg: aug.AugmentConfig
+    manifest: str | None = None
+
+
+# Each [section] lists the fields of one RunSettings dataclass, in order, except:
+# RunSettings.manifest is the first [data] key, PreprocessConfig.window_seconds
+# sits in [train] after seed, and the [augment] keys drop the fields' _range suffix.
+_SECTIONS = {"data": "prep", "encoder": "enc_cfg", "train": "train_cfg", "augment": "aug_cfg"}
+_LEADING = {"data": _Key("", "manifest", str)}
+_MOVED = {"window_seconds": ("train", "seed")}
+_KEY_SUFFIX = {"augment": "_range"}
+
+# train flags that override one config value: flag -> (owner, field)
+_FLAG_OVERRIDES = {"data": ("", "manifest"), "seed": ("train_cfg", "seed"),
+                   "fusion": ("train_cfg", "fusion_variant"), "window_seconds": ("prep", "window_seconds")}
+
+
+def _derive_schema() -> dict[str, dict[str, _Key]]:
+    """[section] -> config key -> the field it sets, in file order."""
+    owner_types = typing.get_type_hints(RunSettings)
+    layout, moved = {}, {}
+    for section, owner in _SECTIONS.items():
+        hints = typing.get_type_hints(owner_types[owner])
+        keys = layout[section] = [_LEADING[section]] if section in _LEADING else []
+        for f in dataclasses.fields(owner_types[owner]):
+            key = _Key(owner, f.name, hints[f.name])
+            if f.name in _MOVED:
+                moved[f.name] = key
+            else:
+                keys.append(key)
+    for name, (section, after) in _MOVED.items():
+        keys = layout[section]
+        keys.insert([k.field for k in keys].index(after) + 1, moved[name])
+    return {section: {k.field.removesuffix(_KEY_SUFFIX.get(section, "")): k for k in keys}
+            for section, keys in layout.items()}
+
+
+_SCHEMA = _derive_schema()
 
 
 def read_config(path: str | Path) -> dict[str, dict[str, object]]:
@@ -126,7 +158,7 @@ def read_config(path: str | Path) -> dict[str, dict[str, object]]:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         text = Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     try:
         parser.read_string(text, source=str(path))
@@ -142,56 +174,29 @@ def read_config(path: str | Path) -> dict[str, dict[str, object]]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]; "
                                   f"valid keys: {sorted(_SCHEMA[section])}")
-            caster = _SCHEMA[section][key]
+            parse, _ = _KINDS[_SCHEMA[section][key].kind]
             try:
-                out[section][key] = caster(raw)
+                out[section][key] = parse(raw)
             except ValueError as e:
                 raise ConfigError(f"{path}: bad value for {section}.{key}: {e}") from e
     return out
 
 
-@dataclasses.dataclass
-class RunSettings:
-    enc_cfg: enc.EncoderConfig
-    train_cfg: trn.TrainConfig
-    prep: sig.PreprocessConfig
-    aug_cfg: aug.AugmentConfig
-    manifest: str | None
-
-
 def build_settings(config_path: str | None, args: argparse.Namespace) -> RunSettings:
     """Config file plus flag overrides -> validated settings."""
     raw = read_config(config_path) if config_path else {}
-    enc_kw = dict(raw.get("encoder", {}))
-    train_kw = dict(raw.get("train", {}))
-    data_kw = dict(raw.get("data", {}))
-    aug_kw = dict(raw.get("augment", {}))
-
-    window_seconds = train_kw.pop("window_seconds", None)
-    if getattr(args, "window_seconds", None) is not None:
-        window_seconds = args.window_seconds
-    if getattr(args, "seed", None) is not None:
-        train_kw["seed"] = args.seed
-    if getattr(args, "fusion", None) is not None:
-        train_kw["fusion_variant"] = args.fusion
-    manifest = data_kw.pop("manifest", None)
-    if getattr(args, "data", None) is not None:
-        manifest = args.data
-
-    prep_kw = data_kw
-    if window_seconds is not None:
-        prep_kw["window_seconds"] = window_seconds
-    aug_renames = {"polarity_prob": "polarity_prob_range", "noise_prob": "noise_prob_range",
-                   "mask_prob": "mask_prob_range", "mask_fraction": "mask_fraction_range",
-                   "noise_k": "noise_k_range"}
+    kw: dict[str, dict[str, object]] = {owner: {} for owner in ("", *_SECTIONS.values())}
+    for section, values in raw.items():
+        for key, value in values.items():
+            owner, field, _ = _SCHEMA[section][key]
+            kw[owner][field] = value
+    for flag, (owner, field) in _FLAG_OVERRIDES.items():
+        if getattr(args, flag, None) is not None:
+            kw[owner][field] = getattr(args, flag)
+    owner_types = typing.get_type_hints(RunSettings)
     try:
-        return RunSettings(
-            enc_cfg=enc.EncoderConfig(**enc_kw),
-            train_cfg=trn.TrainConfig(**train_kw),
-            prep=sig.PreprocessConfig(**prep_kw),
-            aug_cfg=aug.AugmentConfig(**{aug_renames[k]: v for k, v in aug_kw.items()}),
-            manifest=manifest,
-        )
+        return RunSettings(**kw.pop(""), **{owner: owner_types[owner](**values)
+                                            for owner, values in kw.items()})
     except (ValueError, sig.DataError) as e:
         raise ConfigError(str(e)) from e
 
@@ -199,38 +204,13 @@ def build_settings(config_path: str | None, args: argparse.Namespace) -> RunSett
 def serialize_settings(s: RunSettings) -> str:
     """Resolved settings as config text, for the run-directory copy."""
     lines = []
-    if s.manifest is not None:
-        lines.append("[data]")
-        lines.append(f"manifest = {s.manifest}")
-    else:
-        lines.append("[data]")
-    p = s.prep
-    lines.extend([f"sample_rate_hz = {p.sample_rate_hz:.10g}",
-                  f"filter_enabled = {str(p.filter_enabled).lower()}",
-                  f"filter_low_hz = {p.filter_low_hz:.10g}",
-                  f"filter_high_hz = {p.filter_high_hz:.10g}",
-                  f"pad_len = {p.pad_len}", ""])
-    e = s.enc_cfg
-    lines.extend(["[encoder]", f"depth = {e.depth}", f"cross_per_block = {e.cross_per_block}",
-                  f"self_per_block = {e.self_per_block}", f"n_latents = {e.n_latents}",
-                  f"model_dim = {e.model_dim}", f"fourier_bands = {e.fourier_bands}",
-                  f"max_freq_hz = {e.max_freq_hz:.10g}", f"ffn_expansion = {e.ffn_expansion}",
-                  f"dropout = {e.dropout:.10g}", f"out_dim = {e.out_dim}", ""])
-    t = s.train_cfg
-    lines.extend(["[train]", f"epochs = {t.epochs}", f"batch_size = {t.batch_size}",
-                  f"lr = {t.lr:.10g}", f"label_smoothing = {t.label_smoothing:.10g}",
-                  f"warmup_epochs = {t.warmup_epochs}", f"cooldown_epochs = {t.cooldown_epochs}",
-                  f"seed = {t.seed}", f"window_seconds = {p.window_seconds:.10g}",
-                  f"fusion_variant = {t.fusion_variant}",
-                  f"checkpoint_interval = {t.checkpoint_interval}",
-                  f"augment_enabled = {str(t.augment_enabled).lower()}", ""])
-    a = s.aug_cfg
-    fmt = lambda r: f"{r[0]:.10g},{r[1]:.10g}"
-    lines.extend(["[augment]", f"polarity_prob = {fmt(a.polarity_prob_range)}",
-                  f"noise_prob = {fmt(a.noise_prob_range)}",
-                  f"mask_prob = {fmt(a.mask_prob_range)}",
-                  f"mask_fraction = {fmt(a.mask_fraction_range)}",
-                  f"noise_k = {fmt(a.noise_k_range)}", ""])
+    for section, keys in _SCHEMA.items():
+        lines.append(f"[{section}]")
+        for key, (owner, field, kind) in keys.items():
+            value = getattr(getattr(s, owner) if owner else s, field)
+            if value is not None:
+                lines.append(f"{key} = {_KINDS[kind][1](value)}")
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -297,12 +277,7 @@ def _print_report(rep: trn.MetricsReport, split: str, n: int) -> None:
 def cmd_eval(args: argparse.Namespace) -> int:
     enc_cfg, params, prep, variant = trn.load_pipeline(args.checkpoint)
     if args.window_seconds is not None and args.window_seconds != prep.window_seconds:
-        new_prep = sig.PreprocessConfig(sample_rate_hz=prep.sample_rate_hz,
-                                        filter_enabled=prep.filter_enabled,
-                                        filter_low_hz=prep.filter_low_hz,
-                                        filter_high_hz=prep.filter_high_hz,
-                                        pad_len=prep.pad_len,
-                                        window_seconds=args.window_seconds)
+        new_prep = dataclasses.replace(prep, window_seconds=args.window_seconds)
         if new_prep.n_windows != prep.n_windows:
             raise sig.DataError(
                 f"--window-seconds {args.window_seconds} yields {new_prep.n_windows} windows but the "
@@ -319,12 +294,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     defaults = enc.EncoderConfig()
+    n_windows = sig.n_windows_for(args.input_len, args.window_seconds, sig.SAMPLE_RATE_HZ)
     window_samples = int(round(args.window_seconds * sig.SAMPLE_RATE_HZ))
     print(f"encoder grid at n_latents={defaults.n_latents}, model_dim={defaults.model_dim}, "
           f"window of {window_samples} samples:")
     print(f"{'depth':>5} {'cross':>5} {'self':>5} {'params(M)':>10} {'ref(M)':>7} {'dev%':>7} "
           f"{'flops(G)':>9} {'ref(G)':>7} {'dev%':>7}")
-    n_windows = sig.n_windows_for(args.input_len, args.window_seconds, sig.SAMPLE_RATE_HZ)
     for layout in enc.STANDARD_GRID:
         d, c, s = layout
         cfg = dataclasses.replace(defaults, depth=d, cross_per_block=c, self_per_block=s)
@@ -378,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", help="dataset manifest (overrides config)")
     p_train.add_argument("--out", required=True, help="run directory")
     p_train.add_argument("--seed", type=int, help="override train.seed")
-    p_train.add_argument("--window-seconds", type=float, dest="window_seconds")
+    p_train.add_argument("--window-seconds", type=finite_float, dest="window_seconds")
     p_train.add_argument("--fusion", choices=list(fus.VARIANTS), help="override fusion variant")
     p_train.set_defaults(func=cmd_train)
 
@@ -386,12 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True, help="dataset manifest")
     p_eval.add_argument("--split", choices=list(sig.SPLITS), default="test")
-    p_eval.add_argument("--window-seconds", type=float, dest="window_seconds")
+    p_eval.add_argument("--window-seconds", type=finite_float, dest="window_seconds")
     p_eval.set_defaults(func=cmd_eval)
 
     p_prof = sub.add_parser("profile", help="parameter/FLOP tables for the standard layouts")
     p_prof.add_argument("--input-len", type=int, default=sig.PAD_TARGET, dest="input_len")
-    p_prof.add_argument("--window-seconds", type=float, default=5.0, dest="window_seconds")
+    p_prof.add_argument("--window-seconds", type=finite_float, default=5.0, dest="window_seconds")
     p_prof.set_defaults(func=cmd_profile)
     return parser
 

@@ -25,10 +25,10 @@ ratio below 1 is by design, not a missed term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .encoder import EncoderConfig, STANDARD_GRID
-from .fusion import N_ROUTES, VARIANTS
+from . import fusion as fus
+from .encoder import EncoderConfig
 from .signal import N_CLASSES
 
 FLOPS_PER_MAC = 2
@@ -98,25 +98,10 @@ def _unit_counts(cfg: EncoderConfig) -> tuple[int, int]:
     return crosses, selfs
 
 
-def _head_param_map(variant: str, n_windows: int, embed_dim: int, n_classes: int) -> dict[str, int]:
-    concat_dim = n_windows * embed_dim
-    fused_dim = embed_dim + concat_dim
-    if variant == "lf_avg_gate":
-        heads = (_linear_params(embed_dim, n_classes)
-                 + _linear_params(concat_dim, n_classes)
-                 + _linear_params(embed_dim, n_classes))
-        return {"heads": heads, "gate": N_ROUTES}
-    if variant == "concat_add_concat":
-        return {"heads": _linear_params(fused_dim, n_classes), "gate": 0}
-    if variant == "concat_all":
-        return {"heads": _linear_params(fused_dim + embed_dim, n_classes), "gate": 0}
-    if variant == "lf_avg":
-        return {"heads": _linear_params(fused_dim, n_classes) + _linear_params(embed_dim, n_classes),
-                "gate": 0}
-    if variant == "lf_coef":
-        return {"heads": _linear_params(fused_dim, n_classes) + _linear_params(embed_dim, n_classes),
-                "gate": 1}
-    raise ValueError(f"unknown fusion variant {variant!r}; expected one of {VARIANTS}")
+def _head_params(variant: str, n_windows: int, embed_dim: int, n_classes: int) -> dict[str, int]:
+    spec = fus.variant_spec(variant)
+    heads = sum(_linear_params(width, n_classes) for _, width in spec.head_widths(n_windows, embed_dim))
+    return {"heads": heads, "gate": sum(fus.COMBINER_PARAMS.get(spec.combiner, {}).values())}
 
 
 def count_params(cfg: EncoderConfig, n_windows: int, n_classes: int = N_CLASSES,
@@ -132,7 +117,7 @@ def count_params(cfg: EncoderConfig, n_windows: int, n_classes: int = N_CLASSES,
         "ffn": (crosses + selfs) * _ffn_params(cfg),
         "projection": _linear_params(cfg.model_dim, cfg.out_dim),
     }
-    by_component.update(_head_param_map(variant, n_windows, cfg.out_dim, n_classes))
+    by_component.update(_head_params(variant, n_windows, cfg.out_dim, n_classes))
     return CostReport(config=cfg, input_length=0, n_windows=n_windows,
                       params_total=sum(by_component.values()),
                       params_by_component=by_component,
@@ -194,33 +179,27 @@ def encode_flops(cfg: EncoderConfig, n_tokens: int) -> int:
 
 
 def _head_flops(variant: str, n_windows: int, embed_dim: int, n_classes: int) -> tuple[int, int]:
-    """(head FLOPs, gate FLOPs) for one pipeline forward."""
-    mac = FLOPS_PER_MAC
-    concat_dim = n_windows * embed_dim
-    fused_dim = embed_dim + concat_dim
+    """(head FLOPs, gate FLOPs) for one pipeline forward.
 
-    def head(width: int) -> int:
-        return mac * width * n_classes + n_classes
-
-    if variant == "lf_avg_gate":
-        heads = head(embed_dim) + head(concat_dim) + head(embed_dim)
-        heads += 3 * n_classes                                   # logit average
-        gate = (N_ROUTES                                         # noise add
-                + N_ROUTES                                       # temperature scale
-                + SOFTMAX_FLOPS_PER_ELEM * N_ROUTES
-                + mac * N_ROUTES * n_classes)                    # route mixing
-        return heads, gate
-    if variant == "concat_add_concat":
-        return head(fused_dim), 0
-    if variant == "concat_all":
-        return head(fused_dim + embed_dim), 0
-    if variant == "lf_avg":
-        return head(fused_dim) + head(embed_dim) + 2 * n_classes, 0
-    if variant == "lf_coef":
-        heads = head(fused_dim) + head(embed_dim)
-        gate = FUNC_FLOPS_PER_ELEM + 2 + mac * 2 * n_classes     # sigmoid, blend
-        return heads, gate
-    raise ValueError(f"unknown fusion variant {variant!r}; expected one of {VARIANTS}")
+    A logit mean over k heads (its own combiner, or the gate's fourth
+    route) counts k * n_classes with the heads.
+    """
+    mac, routes = FLOPS_PER_MAC, fus.N_ROUTES
+    spec = fus.variant_spec(variant)
+    widths = [width for _, width in spec.head_widths(n_windows, embed_dim)]
+    heads = sum(mac * width * n_classes + n_classes for width in widths)
+    k = len(widths)
+    if spec.combiner in ("gate", "mean"):
+        heads += k * n_classes                            # logit mean
+    gate = 0
+    if spec.combiner == "gate":
+        gate = (routes                                    # noise add
+                + routes                                  # temperature scale
+                + SOFTMAX_FLOPS_PER_ELEM * routes
+                + mac * routes * n_classes)               # route mixing
+    elif spec.combiner == "coef":
+        gate = FUNC_FLOPS_PER_ELEM + 2 + mac * k * n_classes   # sigmoid, blend
+    return heads, gate
 
 
 def count_flops(cfg: EncoderConfig, input_length: int, n_windows: int,

@@ -9,6 +9,10 @@ Gumbel-Softmax gate: during training one route is sampled as a one-hot
 (straight-through gradients keep the gate trainable); at inference the
 argmax route is taken deterministically, no sampling involved.
 
+Each fusion variant is one `VARIANT_SPECS` entry (its heads and their
+input views, plus a combiner); init, forward and `cost`'s parameter and
+FLOP counts all read that table.
+
 Route order everywhere: (add, concat, full, avg).
 """
 
@@ -25,8 +29,47 @@ GATE_TAU = 1.0
 N_ROUTES = 4
 ROUTE_NAMES = ("add", "concat", "full", "avg")
 
-VARIANTS = ("lf_avg_gate", "concat_add_concat", "concat_all", "lf_avg", "lf_coef")
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """One fusion variant: linear heads over the fused views, then a combiner.
+
+    heads: (parameter prefix, input views) in init order, views drawn from
+    "add", "concat" and "full"; a head over several views reads their
+    concatenation.  combiner: "gate" (hard Gumbel gate over the heads and
+    their mean), "mean" (the heads' mean), "coef" (learned sigmoid blend of
+    two heads) or "single" (the one head's logits).
+    """
+
+    heads: tuple[tuple[str, tuple[str, ...]], ...]
+    combiner: str
+
+    def head_widths(self, n_windows: int, embed_dim: int) -> list[tuple[str, int]]:
+        """(prefix, input width) per head: z_concat is n_windows embeddings wide."""
+        widths = {"add": embed_dim, "concat": n_windows * embed_dim, "full": embed_dim}
+        return [(name, sum(widths[v] for v in views)) for name, views in self.heads]
+
+
+VARIANT_SPECS: dict[str, VariantSpec] = {
+    "lf_avg_gate": VariantSpec((("head_add", ("add",)), ("head_concat", ("concat",)),
+                                ("head_full", ("full",))), "gate"),
+    "concat_add_concat": VariantSpec((("head_fused", ("add", "concat")),), "single"),
+    "concat_all": VariantSpec((("head_all", ("add", "concat", "full")),), "single"),
+    "lf_avg": VariantSpec((("head_fused", ("add", "concat")), ("head_full", ("full",))), "mean"),
+    "lf_coef": VariantSpec((("head_fused", ("add", "concat")), ("head_full", ("full",))), "coef"),
+}
+VARIANTS = tuple(VARIANT_SPECS)
 DEFAULT_VARIANT = "lf_avg_gate"
+
+# The scalars each combiner learns, zero at init after the heads: name -> size.
+COMBINER_PARAMS: dict[str, dict[str, int]] = {"gate": {"gate.g": N_ROUTES}, "coef": {"coef.alpha": 1}}
+
+
+def variant_spec(variant: str) -> VariantSpec:
+    """The table entry of a variant; ValueError names the known ones."""
+    if variant not in VARIANT_SPECS:
+        raise ValueError(f"unknown fusion variant {variant!r}; expected one of {VARIANTS}")
+    return VARIANT_SPECS[variant]
 
 
 def fuse_windows(embeddings: list[Tensor]) -> tuple[Tensor, Tensor]:
@@ -65,13 +108,24 @@ def _head(z: Tensor, params: dict, prefix: str) -> Tensor:
     return nm.add(nm.matmul(z, w), params[f"{prefix}.b"])
 
 
+def _head_logits(spec: VariantSpec, z_add: Tensor, z_concat: Tensor, z_full: Tensor,
+                 params: dict) -> list[Tensor]:
+    views = {"add": z_add, "concat": z_concat, "full": z_full}
+    logits = []
+    for name, inputs in spec.heads:
+        z = views[inputs[0]] if len(inputs) == 1 else nm.concat_vec([views[v] for v in inputs])
+        logits.append(_head(z, params, name))
+    return logits
+
+
+def _mean(logits: list[Tensor]) -> Tensor:
+    return nm.scale(nm.add_n(logits), 1.0 / len(logits))
+
+
 def heads_forward(z_add: Tensor, z_concat: Tensor, z_full: Tensor, params: dict) -> LogitBundle:
-    """Three one-layer heads plus their logit average."""
-    l_add = _head(z_add, params, "head_add")
-    l_concat = _head(z_concat, params, "head_concat")
-    l_full = _head(z_full, params, "head_full")
-    l_avg = nm.scale(nm.add_n([l_add, l_concat, l_full]), 1.0 / 3.0)
-    return LogitBundle(l_add, l_concat, l_full, l_avg)
+    """The lf_avg_gate heads (add, concat, full) plus their logit average."""
+    logits = _head_logits(VARIANT_SPECS["lf_avg_gate"], z_add, z_concat, z_full, params)
+    return LogitBundle(*logits, _mean(logits))
 
 
 def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:
@@ -108,41 +162,22 @@ def gumbel_gate(bundle: LogitBundle, gate_g: Tensor, training: bool,
 
 
 # ---------------------------------------------------------------------------
-# head construction and fusion variants
+# fusion variants
 
 def init_fusion_params(variant: str, n_windows: int, embed_dim: int, n_classes: int,
                        rng: np.random.Generator, dtype=nm.DEFAULT_DTYPE) -> dict[str, Tensor]:
     """Heads (fan-in uniform init) and gate/coefficient scalars at zero."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown fusion variant {variant!r}; expected one of {VARIANTS}")
+    spec = variant_spec(variant)
     if n_windows < 1 or embed_dim < 1 or n_classes < 2:
         raise ValueError(f"need n_windows >= 1, embed_dim >= 1, n_classes >= 2; "
                          f"got ({n_windows}, {embed_dim}, {n_classes})")
-    concat_dim = n_windows * embed_dim
-    fused_dim = embed_dim + concat_dim
     params: dict[str, Tensor] = {}
-
-    def head(prefix: str, width: int) -> None:
+    for prefix, width in spec.head_widths(n_windows, embed_dim):
         bound = 1.0 / np.sqrt(width)
         params[f"{prefix}.w"] = nm.parameter(rng.uniform(-bound, bound, (width, n_classes)), dtype=dtype)
         params[f"{prefix}.b"] = nm.parameter(np.zeros(n_classes), dtype=dtype)
-
-    if variant == "lf_avg_gate":
-        head("head_add", embed_dim)
-        head("head_concat", concat_dim)
-        head("head_full", embed_dim)
-        params["gate.g"] = nm.parameter(np.zeros(N_ROUTES), dtype=dtype)
-    elif variant == "concat_add_concat":
-        head("head_fused", fused_dim)
-    elif variant == "concat_all":
-        head("head_all", fused_dim + embed_dim)
-    elif variant == "lf_avg":
-        head("head_fused", fused_dim)
-        head("head_full", embed_dim)
-    elif variant == "lf_coef":
-        head("head_fused", fused_dim)
-        head("head_full", embed_dim)
-        params["coef.alpha"] = nm.parameter(np.zeros(1), dtype=dtype)
+    for name, size in COMBINER_PARAMS.get(spec.combiner, {}).items():
+        params[name] = nm.parameter(np.zeros(size), dtype=dtype)
     return params
 
 
@@ -150,32 +185,19 @@ def classify(z_add: Tensor, z_concat: Tensor, z_full: Tensor, params: dict, vari
              training: bool, rng: np.random.Generator | None) -> tuple[Tensor, int | None]:
     """Fused views -> (final class logits, gate route or None).
 
-    Only the lf_avg_gate variant reports a route index; the others have
-    no discrete selection to log.
+    Only the gate combiner reports a route index; the others have no
+    discrete selection to log.
     """
-    if variant == "lf_avg_gate":
+    spec = variant_spec(variant)
+    if spec.combiner == "gate":
         bundle = heads_forward(z_add, z_concat, z_full, params)
         return gumbel_gate(bundle, params["gate.g"], training, rng)
-    if variant == "concat_add_concat":
-        return _head(nm.concat_vec([z_add, z_concat]), params, "head_fused"), None
-    if variant == "concat_all":
-        return _head(nm.concat_vec([z_add, z_concat, z_full]), params, "head_all"), None
-    if variant == "lf_avg":
-        l_fused = _head(nm.concat_vec([z_add, z_concat]), params, "head_fused")
-        l_full = _head(z_full, params, "head_full")
-        return nm.scale(nm.add(l_fused, l_full), 0.5), None
-    if variant == "lf_coef":
-        l_fused = _head(nm.concat_vec([z_add, z_concat]), params, "head_fused")
-        l_full = _head(z_full, params, "head_full")
+    logits = _head_logits(spec, z_add, z_concat, z_full, params)
+    if spec.combiner == "mean":
+        return _mean(logits), None
+    if spec.combiner == "coef":
         # blend weights (a, 1-a) with a = sigmoid(alpha), kept inside [0, 1]
         a = nm.sigmoid(params["coef.alpha"])
         blend = nm.concat_vec([a, nm.add_const(nm.scale(a, -1.0), 1.0)])
-        return nm.matmul(blend, nm.stack_rows([l_fused, l_full])), None
-    raise ValueError(f"unknown fusion variant {variant!r}; expected one of {VARIANTS}")
-
-
-def inference_route(params: dict, variant: str) -> int | None:
-    """The route an lf_avg_gate model takes at inference (argmax of g)."""
-    if variant != "lf_avg_gate":
-        return None
-    return int(np.argmax(params["gate.g"].data))
+        return nm.matmul(blend, nm.stack_rows(logits)), None
+    return logits[0], None

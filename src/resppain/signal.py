@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -146,7 +146,7 @@ def n_windows_for(length: int, window_seconds: float, sample_rate_hz: float) -> 
 
 def _window_samples(window_seconds: float, sample_rate_hz: float) -> int:
     w_exact = window_seconds * sample_rate_hz
-    w = int(round(w_exact))
+    w = int(round(w_exact)) if math.isfinite(w_exact) else 0
     if w < 1 or abs(w_exact - w) > 1e-9:
         raise DataError(f"window of {window_seconds}s at {sample_rate_hz} Hz is not a whole "
                         f"positive number of samples ({w_exact})")
@@ -160,11 +160,6 @@ class WindowSet:
     windows: np.ndarray          # (n_windows, window_samples) float32
     window_seconds: float
     sample_rate_hz: float
-    source_length: int
-
-    def flatten(self) -> np.ndarray:
-        """Concatenated windows: the source padded to a window multiple."""
-        return self.windows.reshape(-1).copy()
 
 
 def segment_windows(x: np.ndarray, window_seconds: float, sample_rate_hz: float) -> WindowSet:
@@ -178,7 +173,7 @@ def segment_windows(x: np.ndarray, window_seconds: float, sample_rate_hz: float)
     padded = np.zeros(n * w, dtype=np.float32)
     padded[: x.size] = x
     return WindowSet(windows=padded.reshape(n, w), window_seconds=window_seconds,
-                     sample_rate_hz=sample_rate_hz, source_length=x.size)
+                     sample_rate_hz=sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,17 @@ logits -> label-smoothed cross-entropy.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import augment as aug
+from . import cost
 from . import encoder as enc
 from . import fusion as fus
 from . import numerics as nm
@@ -406,8 +409,8 @@ def train(train_records: list[sig.RespirationRecord],
             best_params = dict(params)
         if out_path is not None and train_cfg.checkpoint_interval > 0 \
                 and (epoch + 1) % train_cfg.checkpoint_interval == 0:
-            _save_pipeline(out_path / f"checkpoint_epoch{epoch + 1:03d}.bin",
-                           enc_cfg, params, prep, variant, n_classes)
+            save_pipeline(out_path / f"checkpoint_epoch{epoch + 1:03d}.bin",
+                          enc_cfg, params, prep, variant, n_classes)
 
     result = TrainResult(params=params, enc_cfg=enc_cfg, prep=prep, variant=variant,
                          metrics_lines=metrics_lines, val_reports=val_reports,
@@ -418,49 +421,62 @@ def train(train_records: list[sig.RespirationRecord],
                 best_acc, best_epoch, result.final_report.macro_accuracy)
     if out_path is not None:
         (out_path / "metrics.tsv").write_text(result.metrics_text)
-        _save_pipeline(out_path / "checkpoint_final.bin", enc_cfg, params, prep, variant, n_classes)
-        _save_pipeline(out_path / "checkpoint_best.bin", enc_cfg, best_params, prep, variant, n_classes)
+        save_pipeline(out_path / "checkpoint_final.bin", enc_cfg, params, prep, variant, n_classes)
+        save_pipeline(out_path / "checkpoint_best.bin", enc_cfg, best_params, prep, variant, n_classes)
     return result
 
 
 # ---------------------------------------------------------------------------
 # pipeline checkpoints (encoder container + head/gate tensors + run extras)
 
-def _save_pipeline(path: str | Path, enc_cfg: enc.EncoderConfig, params: dict[str, Tensor],
-                   prep: sig.PreprocessConfig, variant: str, n_classes: int) -> None:
-    extras = {
-        "variant": variant,
-        "n_classes": n_classes,
-        "window_seconds": prep.window_seconds,
-        "pad_len": prep.pad_len,
-        "sample_rate_hz": prep.sample_rate_hz,
-        "filter_enabled": int(prep.filter_enabled),
-        "filter_low_hz": prep.filter_low_hz,
-        "filter_high_hz": prep.filter_high_hz,
-    }
-    enc.save_checkpoint(path, enc_cfg, params, extras)
+# checkpoint extras, in file order: the variant, the class count and every PreprocessConfig field
+PIPELINE_EXTRAS = ("variant", "n_classes", "window_seconds", "pad_len", "sample_rate_hz",
+                   "filter_enabled", "filter_low_hz", "filter_high_hz")
 
 
-save_pipeline = _save_pipeline
+def save_pipeline(path: str | Path, enc_cfg: enc.EncoderConfig, params: dict[str, Tensor],
+                  prep: sig.PreprocessConfig, variant: str, n_classes: int) -> None:
+    values = {"variant": variant, "n_classes": n_classes, **dataclasses.asdict(prep)}
+    enc.save_checkpoint(path, enc_cfg, params, {name: values[name] for name in PIPELINE_EXTRAS})
 
 
 def load_pipeline(path: str | Path) -> tuple[enc.EncoderConfig, dict[str, Tensor],
                                              sig.PreprocessConfig, str]:
-    """Checkpoint -> (encoder config, trainable params, preprocessing, variant)."""
+    """Checkpoint -> (encoder config, trainable params, preprocessing, variant).
+
+    Every tensor name and shape must match what `init_pipeline_params`
+    builds for the stored config, variant and window count.
+    """
     cfg, arrays, extras = enc.load_checkpoint(path)
-    required = {"variant", "n_classes", "window_seconds", "pad_len", "sample_rate_hz",
-                "filter_enabled", "filter_low_hz", "filter_high_hz"}
-    missing = required - extras.keys()
+    missing = set(PIPELINE_EXTRAS) - extras.keys()
     if missing:
         raise enc.CheckpointError(f"{path}: checkpoint lacks pipeline fields {sorted(missing)}")
     variant = str(extras["variant"])
     if variant not in fus.VARIANTS:
         raise enc.CheckpointError(f"{path}: unknown fusion variant {variant!r}")
-    prep = sig.PreprocessConfig(sample_rate_hz=float(extras["sample_rate_hz"]),
-                                filter_enabled=bool(extras["filter_enabled"]),
-                                filter_low_hz=float(extras["filter_low_hz"]),
-                                filter_high_hz=float(extras["filter_high_hz"]),
-                                pad_len=int(extras["pad_len"]),
-                                window_seconds=float(extras["window_seconds"]))
+    if extras["n_classes"] != sig.N_CLASSES:
+        raise enc.CheckpointError(f"{path}: checkpoint has {extras['n_classes']} classes, "
+                                  f"expected {sig.N_CLASSES}")
+    hints = typing.get_type_hints(sig.PreprocessConfig)
+    try:
+        prep = sig.PreprocessConfig(**{f.name: hints[f.name](extras[f.name])
+                                       for f in dataclasses.fields(sig.PreprocessConfig)})
+        n_windows = prep.n_windows
+    except (TypeError, ValueError) as e:
+        raise enc.CheckpointError(f"{path}: invalid preprocessing fields: {e}") from e
+    # a corrupt header must not make the template huge: build it only when
+    # it needs at most twice the parameters the file holds
+    stored = sum(a.size for a in arrays.values())
+    needed = cost.count_params(cfg, n_windows, sig.N_CLASSES, variant).params_total
+    if needed > 2 * stored:
+        raise enc.CheckpointError(f"{path}: holds {stored} parameters, but its config, variant "
+                                  f"{variant!r} and {n_windows} windows need {needed}")
+    want = {n: t.shape for n, t in init_pipeline_params(cfg, variant, n_windows, sig.N_CLASSES,
+                                                        np.random.default_rng(0)).items()}
+    got = {n: a.shape for n, a in arrays.items()}
+    bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+    if bad:
+        raise enc.CheckpointError(f"{path}: tensors do not fit the stored config: " + ", ".join(
+            f"{n} {got.get(n, 'missing')} (want {want.get(n, 'none')})" for n in bad[:5]))
     params = {name: nm.parameter(arr) for name, arr in arrays.items()}
     return cfg, params, prep, variant

@@ -231,7 +231,7 @@ def test_criterion_05_windowing_padding_reconstruction():
     assert ws.windows.shape == (3, 500)
     assert not ws.windows[2, 150:].any()          # 350 trailing zeros
     np.testing.assert_array_equal(ws.windows[2, :150], padded[1000:])
-    np.testing.assert_array_equal(ws.flatten()[:1150], padded)
+    np.testing.assert_array_equal(ws.windows.reshape(-1)[:1150], padded)
     _ok(5, "1000 -> pad 1150 -> 3x500 windows, 350-zero tail, exact reconstruction")
 
 

@@ -68,27 +68,36 @@ def test_mask_params_exact_geometry():
         aug._mask_params(100, 0.1, "middle")
 
 
+def _only(transform: str, **ranges) -> aug.AugmentConfig:
+    """Config that runs exactly one transform, always."""
+    probs = {f"{t}_prob_range": (1.0, 1.0) if t == transform else (0.0, 0.0)
+             for t in ("polarity", "noise", "mask")}
+    return aug.AugmentConfig(**probs, **ranges)
+
+
 def test_mask_block_zeroes_one_block_and_preserves_rest():
     rng = np.random.default_rng(4)
+    cfg = _only("mask", mask_fraction_range=(0.2, 0.2))
     x = np.arange(1, 1001, dtype=np.float32)   # strictly nonzero
-    y = aug.mask_block(x, rng, (0.2, 0.2))
+    y = aug.apply_augmentations(x, cfg, rng)
     zeros = np.flatnonzero(y == 0.0)
     assert zeros.size == 200
     assert np.all(np.diff(zeros) == 1)   # contiguous
     keep = np.setdiff1d(np.arange(1000), zeros)
     np.testing.assert_array_equal(y[keep], x[keep])
     with pytest.raises(ValueError):
-        aug.mask_block(np.ones(5, dtype=np.float32), rng)
+        aug.apply_augmentations(np.ones(5, dtype=np.float32), cfg, rng)
 
 
 def test_mask_block_fraction_and_anchor_distribution():
     rng = np.random.default_rng(5)
+    cfg = _only("mask", mask_fraction_range=(0.10, 0.30))
     x = np.ones(1000, dtype=np.float32)
     fracs = []
     starts = {0: 0, 1: 0, 2: 0}   # begin, center, end buckets
     trials = 3000
     for _ in range(trials):
-        y = aug.mask_block(x, rng, (0.10, 0.30))
+        y = aug.apply_augmentations(x, cfg, rng)
         zeros = np.flatnonzero(y == 0.0)
         m = zeros.size
         assert 100 <= m <= 300   # round() cannot escape on n=1000
@@ -104,6 +113,23 @@ def test_mask_block_fraction_and_anchor_distribution():
     np.testing.assert_allclose(np.mean(fracs), 0.20, atol=0.01)
     for bucket in starts.values():
         assert abs(bucket / trials - 1.0 / 3.0) < 0.05
+
+
+def test_noise_alone_lands_in_the_drawn_snr_band():
+    # k pinned at 200 puts the SNR in [0.2, 1.0], so on a long signal the
+    # realized noise power sits inside [1, 5] times the signal power and
+    # differs between draws; no sample is inverted or masked
+    rng = np.random.default_rng(10)
+    cfg = _only("noise", noise_k_range=(200.0, 200.0))
+    x = np.sin(2 * np.pi * 0.25 * np.arange(100_000) / 100.0).astype(np.float32)
+    signal_power = float(np.mean(x.astype(np.float64) ** 2))
+    ratios = []
+    for _ in range(20):
+        y = aug.apply_augmentations(x, cfg, rng)
+        assert y.dtype == np.float32 and not np.any(y == 0.0)
+        ratios.append(float(np.mean((y.astype(np.float64) - x) ** 2)) / signal_power)
+    assert 0.97 < min(ratios) and max(ratios) < 5.15
+    assert max(ratios) - min(ratios) > 0.5
 
 
 def test_sample_plan_activation_rates():

@@ -2,13 +2,22 @@
 them, plus the exit-code contract for bad configs, bad data, and corrupt
 checkpoints. Everything runs in-process through main(argv)."""
 
+import argparse
+import dataclasses
 import filecmp
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from resppain import augment as aug
 from resppain import cli
+from resppain import encoder as enc
+from resppain import fusion as fus
+from resppain import numerics as nm
 from resppain import signal as sig
+from resppain import training as trn
 
 MICRO_CONFIG = """\
 [data]
@@ -135,6 +144,156 @@ def test_invalid_config_value_rejected(tmp_path, capsys):
     assert "depth" in capsys.readouterr().err
 
 
+def test_config_keys_follow_the_dataclasses():
+    # the INI layout: dataclass fields in order, manifest first in [data],
+    # window_seconds in [train] after seed, no _range suffix in [augment]
+    want = {
+        "data": "manifest sample_rate_hz filter_enabled filter_low_hz filter_high_hz pad_len",
+        "encoder": "depth cross_per_block self_per_block n_latents model_dim fourier_bands "
+                   "max_freq_hz ffn_expansion dropout out_dim",
+        "train": "epochs batch_size lr label_smoothing warmup_epochs cooldown_epochs seed "
+                 "window_seconds fusion_variant checkpoint_interval augment_enabled",
+        "augment": "polarity_prob noise_prob mask_prob mask_fraction noise_k",
+    }
+    assert {section: " ".join(keys) for section, keys in cli._SCHEMA.items()} == want
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "window_seconds", "nan"), ("train", "window_seconds", "inf"),
+    ("train", "lr", "nan"), ("encoder", "max_freq_hz", "nan"), ("augment", "noise_k", "1,inf"),
+])
+def test_non_finite_config_value_rejected(tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    rc = cli.main(["train", "--config", str(cfg), "--data", "whatever.tsv",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+
+
+def test_non_finite_window_seconds_flag_rejected(tmp_path, capsys):
+    for argv in (["train", "--data", "whatever.tsv", "--out", str(tmp_path / "run")],
+                 ["eval", "--checkpoint", "x.bin", "--data", "whatever.tsv"]):
+        for value in ("nan", "inf"):
+            with pytest.raises(SystemExit) as e:
+                cli.main(argv + ["--window-seconds", value])
+            assert e.value.code == 2
+            assert "--window-seconds" in capsys.readouterr().err
+
+
+def test_undecodable_config_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"[train]\nepochs = \xff\xfe\n")
+    rc = cli.main(["train", "--config", str(cfg), "--data", "whatever.tsv",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=16)
+_NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "NaN", "Infinity"])
+_PLAUSIBLE = {   # by field type: values that often pass, or fail only on range
+    int: st.integers(0, 12).map(str),
+    float: st.one_of(st.floats(0.0, 20.0).map(repr), _NON_FINITE),
+    bool: st.sampled_from(["true", "false", "1", "off", "maybe"]),
+    str: st.sampled_from([*fus.VARIANTS, "bogus", "data/manifest.tsv"]),
+    tuple[float, float]: st.one_of(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(
+        lambda p: f"{p[0]!r},{p[1]!r}"), _NON_FINITE, st.just("0.1,0.2,0.3")),
+}
+_JUNK = st.one_of(_TEXT, st.integers(-10, 10**30).map(str), st.floats().map(repr),
+                  st.sampled_from(["", "-0", "1e-300", "1_000", "0x10", " 1 , 2 "]))
+
+
+def _mostly(values: list[str], odd: list[str]):
+    return st.sampled_from(values * 6 + odd)
+
+
+def _section(name: str):
+    """A [name] header, then distinct keys of that section (or bogus) with values."""
+    keys = cli._SCHEMA.get(name, {})
+    value = {key: st.one_of(*[_PLAUSIBLE[k.kind]] * 4, _JUNK) for key, k in keys.items()}
+    return st.lists(_mostly(list(keys), ["bogus"]), unique=True, max_size=4).flatmap(
+        lambda ks: st.tuples(*[value.get(k, _JUNK).map(lambda v, k=k: f"{k} = {v}") for k in ks])
+    ).map(lambda lines: "\n".join([f"[{name}]", *lines]))
+
+
+_CONFIG_TEXT = st.lists(_mostly(list(cli._SCHEMA), ["DEFAULT", "bogus"]), unique=True,
+                        max_size=4).flatmap(lambda names: st.tuples(*map(_section, names))).map("\n".join)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(_CONFIG_TEXT, _TEXT))
+def test_random_config_text_raises_only_config_error(tmp_path_factory, text):
+    # read_config + build_settings fail only with ConfigError; the window
+    # count of settings they accept fails only with DataError
+    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path.write_text(text, encoding="utf-8")
+    try:
+        built = cli.build_settings(str(path), argparse.Namespace())
+    except cli.ConfigError:
+        return
+    try:   # what train derives first from accepted settings
+        assert built.prep.n_windows >= 1
+    except sig.DataError:
+        pass
+
+
+_FINITE = dict(allow_nan=False, allow_infinity=False)
+
+
+def _sorted_pair(lo, hi):
+    return st.tuples(st.floats(lo, hi, **_FINITE), st.floats(lo, hi, **_FINITE)).map(
+        lambda p: tuple(sorted(p)))
+
+
+@st.composite
+def _valid_settings(draw):
+    rate = draw(st.floats(1.0, 1e4, **_FINITE))
+    low, high = sorted(draw(st.lists(st.floats(0.0, rate / 2.0, exclude_min=True, exclude_max=True),
+                                     min_size=2, max_size=2, unique=True)))
+    epochs = draw(st.integers(1, 1000))
+    warmup = draw(st.integers(0, epochs))
+    return cli.RunSettings(
+        enc_cfg=enc.EncoderConfig(
+            depth=draw(st.integers(1, 4)), cross_per_block=draw(st.integers(1, 4)),
+            self_per_block=draw(st.integers(0, 4)), n_latents=draw(st.integers(1, 4096)),
+            model_dim=draw(st.integers(1, 4096)), fourier_bands=draw(st.integers(1, 64)),
+            max_freq_hz=draw(st.floats(0.0, 1e6, exclude_min=True)),
+            ffn_expansion=draw(st.integers(1, 8)),
+            dropout=draw(st.floats(0.0, 1.0, exclude_max=True)), out_dim=draw(st.integers(1, 4096))),
+        train_cfg=trn.TrainConfig(
+            epochs=epochs, batch_size=draw(st.integers(1, 512)),
+            lr=draw(st.floats(0.0, 10.0, exclude_min=True)),
+            label_smoothing=draw(st.floats(0.0, 1.0, exclude_max=True)),
+            warmup_epochs=warmup, cooldown_epochs=draw(st.integers(0, epochs - warmup)),
+            seed=draw(st.integers(0, 2**63)), fusion_variant=draw(st.sampled_from(fus.VARIANTS)),
+            checkpoint_interval=draw(st.integers(0, 100)), augment_enabled=draw(st.booleans())),
+        prep=sig.PreprocessConfig(
+            sample_rate_hz=rate, filter_enabled=draw(st.booleans()), filter_low_hz=low,
+            filter_high_hz=high, pad_len=draw(st.integers(1, 10**6)),
+            window_seconds=draw(st.floats(0.0, 1e4, exclude_min=True))),
+        aug_cfg=aug.AugmentConfig(
+            polarity_prob_range=draw(_sorted_pair(0.0, 1.0)), noise_prob_range=draw(_sorted_pair(0.0, 1.0)),
+            mask_prob_range=draw(_sorted_pair(0.0, 1.0)), mask_fraction_range=draw(_sorted_pair(0.0, 1.0)),
+            noise_k_range=draw(_sorted_pair(1.0, 1e6))),
+        manifest=draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valid_settings())
+def test_serialized_settings_read_back_exactly(tmp_path_factory, s):
+    # serialize -> read_config -> build_settings -> serialize is the same text,
+    # and every value reads back exactly
+    text = cli.serialize_settings(s)
+    path = tmp_path_factory.getbasetemp() / "roundtrip.ini"
+    path.write_text(text)
+    again = cli.build_settings(str(path), argparse.Namespace())
+    assert cli.serialize_settings(again) == text
+    assert again == s
+
+
 def test_train_requires_a_dataset(tmp_path, capsys):
     rc = cli.main(["train", "--out", str(tmp_path / "run")])
     assert rc == 2
@@ -243,6 +402,44 @@ def test_eval_corrupt_checkpoint(workspace, tmp_path, capsys):
     assert "checkpoint error" in capsys.readouterr().err
 
 
+def _drop_ffn_wo(cfg, arrays, extras):
+    del arrays["block0.cross0.ffn.wo.w"]
+    return cfg
+
+
+def _five_gate_scores(cfg, arrays, extras):
+    arrays["gate.g"] = arrays["gate.g"][[0, 1, 2, 3, 3]]
+    return cfg
+
+
+def _four_classes(cfg, arrays, extras):
+    extras["n_classes"] = 4
+    return cfg
+
+
+def _inflated_header(cfg, arrays, extras):
+    # a header describing far more parameters than the file holds is
+    # refused before any template is built
+    return dataclasses.replace(cfg, n_latents=100_000)
+
+
+@pytest.mark.parametrize("edit,named", [(_drop_ffn_wo, "block0.cross0.ffn.wo.w"),
+                                        (_five_gate_scores, "gate.g"),
+                                        (_four_classes, "classes"),
+                                        (_inflated_header, "holds")])
+def test_eval_rejects_checkpoint_that_does_not_fit_its_config(workspace, tmp_path, capsys,
+                                                             edit, named):
+    cfg, arrays, extras = enc.load_checkpoint(workspace["run"] / "checkpoint_best.bin")
+    cfg = edit(cfg, arrays, extras)
+    bad = tmp_path / "bad.bin"
+    enc.save_checkpoint(bad, cfg, {k: nm.constant(v) for k, v in arrays.items()}, extras)
+    rc = cli.main(["eval", "--checkpoint", str(bad),
+                   "--data", str(workspace["data"] / "manifest.tsv")])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and named in err
+
+
 # ---------------------------------------------------------------------------
 # profile
 
@@ -254,6 +451,14 @@ def test_profile_tables(capsys):
     assert len(grid_rows) >= 6
     assert "1150-sample input" in out
     assert "max at T=1, min at T=5" in out
+
+
+def test_profile_rejects_window_of_no_whole_sample_count(capsys):
+    # 1e307 s * 100 Hz overflows to inf; 0.0015 s is 0.15 samples
+    for value in ("1e307", "0.0015"):
+        assert cli.main(["profile", "--window-seconds", value]) == 3
+        captured = capsys.readouterr()
+        assert "data error" in captured.err and captured.out == ""
 
 
 def test_profile_custom_input_len(capsys):

@@ -176,6 +176,25 @@ def test_pipeline_flops_components_and_total():
     assert gateless.flops_by_component["gate"] == 0
 
 
+def test_head_and_gate_costs_exact_for_every_variant():
+    # (head params, gate params, head FLOPs, gate FLOPs) at out_dim 8 and
+    # 3 classes.  A head over width w costs 3w + 3 params and 6w + 3 FLOPs;
+    # a logit mean over k heads 3k FLOPs; the gate 4 params and
+    # 4 + 4 + 5*4 + 2*4*3 = 52 FLOPs; lf_coef's blend 1 param and
+    # 8 + 2 + 2*2*3 = 22 FLOPs; z_add's window sums 8(n - 1) with the heads.
+    want = {
+        ("lf_avg_gate", 1): (81, 4, 162, 52), ("lf_avg_gate", 3): (129, 4, 274, 52),
+        ("concat_add_concat", 1): (51, 0, 99, 0), ("concat_add_concat", 3): (99, 0, 211, 0),
+        ("concat_all", 1): (75, 0, 147, 0), ("concat_all", 3): (123, 0, 259, 0),
+        ("lf_avg", 1): (78, 0, 156, 0), ("lf_avg", 3): (126, 0, 268, 0),
+        ("lf_coef", 1): (78, 1, 150, 22), ("lf_coef", 3): (126, 1, 262, 22),
+    }
+    for (variant, n_windows), costs in want.items():
+        p = cost.count_params(SMALL, n_windows, variant=variant).params_by_component
+        f = cost.count_flops(SMALL, 400, n_windows, variant=variant).flops_by_component
+        assert (p["heads"], p["gate"], f["heads"], f["gate"]) == costs, (variant, n_windows)
+
+
 def test_window_term_doubles_with_window_count_at_fixed_window_length():
     # doubling the number of fixed-length windows doubles both
     # the tiled input and the per-window fixed work, hence the term itself.

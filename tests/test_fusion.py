@@ -91,8 +91,13 @@ def test_gate_inference_returns_selected_route_tensor_exactly():
     logits, chosen = fus.gumbel_gate(bundle, params["gate.g"], training=False, rng=None)
     assert chosen == 1
     assert logits is bundle.l_concat   # the route tensor itself, bit-for-bit
-    assert fus.inference_route(params, "lf_avg_gate") == 1
-    assert fus.inference_route(params, "lf_avg") is None
+    # classify reports that argmax route at inference; gateless variants report none
+    z_add, z_concat, z_full = _vec(rng, 8), _vec(rng, 24), _vec(rng, 8)
+    logits, route = fus.classify(z_add, z_concat, z_full, params, "lf_avg_gate", False, None)
+    assert route == 1
+    assert logits.data.tobytes() == fus.heads_forward(z_add, z_concat, z_full, params).l_concat.data.tobytes()
+    assert fus.classify(z_add, z_concat, z_full, _fusion_params("lf_avg"), "lf_avg",
+                        False, None)[1] is None
 
 
 def test_gate_inference_consumes_no_rng():
@@ -187,20 +192,20 @@ def test_gate_gradient_flows_to_scores():
 
 def test_variant_list_and_param_sets():
     assert fus.DEFAULT_VARIANT == "lf_avg_gate"
-    assert set(fus.VARIANTS) == {"lf_avg_gate", "concat_add_concat", "concat_all",
-                                 "lf_avg", "lf_coef"}
+    # exact order: it is the RNG draw order of init and the checkpoint tensor order
+    assert fus.VARIANTS == ("lf_avg_gate", "concat_add_concat", "concat_all", "lf_avg", "lf_coef")
     p = _fusion_params("lf_avg_gate")
-    assert set(p) == {"head_add.w", "head_add.b", "head_concat.w", "head_concat.b",
-                      "head_full.w", "head_full.b", "gate.g"}
+    assert list(p) == ["head_add.w", "head_add.b", "head_concat.w", "head_concat.b",
+                       "head_full.w", "head_full.b", "gate.g"]
     assert p["head_concat.w"].shape == (24, 3)
-    assert set(_fusion_params("concat_add_concat")) == {"head_fused.w", "head_fused.b"}
+    assert list(_fusion_params("concat_add_concat")) == ["head_fused.w", "head_fused.b"]
     assert _fusion_params("concat_add_concat")["head_fused.w"].shape == (32, 3)
-    assert set(_fusion_params("concat_all")) == {"head_all.w", "head_all.b"}
+    assert list(_fusion_params("concat_all")) == ["head_all.w", "head_all.b"]
     assert _fusion_params("concat_all")["head_all.w"].shape == (40, 3)
-    assert set(_fusion_params("lf_avg")) == {"head_fused.w", "head_fused.b",
-                                             "head_full.w", "head_full.b"}
-    assert set(_fusion_params("lf_coef")) == {"head_fused.w", "head_fused.b",
-                                              "head_full.w", "head_full.b", "coef.alpha"}
+    assert list(_fusion_params("lf_avg")) == ["head_fused.w", "head_fused.b",
+                                              "head_full.w", "head_full.b"]
+    assert list(_fusion_params("lf_coef")) == ["head_fused.w", "head_fused.b",
+                                               "head_full.w", "head_full.b", "coef.alpha"]
     with pytest.raises(ValueError):
         fus.init_fusion_params("bogus", 3, 8, 3, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -224,6 +229,26 @@ def test_classify_variant_contracts():
 
     with pytest.raises(ValueError):
         fus.classify(z_add, z_concat, z_full, {}, "bogus", False, None)
+
+
+def test_classify_concatenates_only_multi_view_head_inputs(monkeypatch):
+    # a head over one view reads it directly, so it adds no concat node;
+    # lf_coef's one extra concat is its (a, 1 - a) blend vector
+    rng = np.random.default_rng(29)
+    z_add, z_concat, z_full = _vec(rng, 8), _vec(rng, 24), _vec(rng, 8)
+    real_concat, widths = nm.concat_vec, []
+
+    def recording_concat(parts):
+        widths.append(sum(p.shape[0] for p in parts))
+        return real_concat(parts)
+
+    monkeypatch.setattr(nm, "concat_vec", recording_concat)
+    want = {"lf_avg_gate": [], "concat_add_concat": [32], "concat_all": [40],
+            "lf_avg": [32], "lf_coef": [32, 2]}
+    for variant in fus.VARIANTS:
+        widths.clear()
+        fus.classify(z_add, z_concat, z_full, _fusion_params(variant), variant, False, None)
+        assert widths == want[variant], variant
 
 
 def test_classify_lf_avg_is_exact_half_sum():

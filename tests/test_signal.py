@@ -115,7 +115,7 @@ def test_segment_windows_five_second_example():
     np.testing.assert_array_equal(ws.windows[1], x[500:1000])
     np.testing.assert_array_equal(ws.windows[2][:150], x[1000:])
     np.testing.assert_array_equal(ws.windows[2][150:], np.zeros(350, dtype=np.float32))
-    flat = ws.flatten()
+    flat = ws.windows.reshape(-1)
     np.testing.assert_array_equal(flat[:1150], x)   # exact reconstruction
 
 
@@ -123,12 +123,15 @@ def test_segment_windows_exact_multiple_has_no_padding():
     x = np.arange(1000, dtype=np.float32)
     ws = sig.segment_windows(x, 5.0, FS)
     assert ws.windows.shape == (2, 500)
-    np.testing.assert_array_equal(ws.flatten(), x)
+    np.testing.assert_array_equal(ws.windows.reshape(-1), x)
 
 
 def test_window_samples_must_be_integral():
     with pytest.raises(sig.DataError):
         sig.n_windows_for(1000, 0.0015, FS)   # 0.15 samples
+    for bad in (float("nan"), float("inf"), 1e307):   # not a sample count at all
+        with pytest.raises(sig.DataError):
+            sig.n_windows_for(1000, bad, FS)
     assert sig.n_windows_for(1000, 2.5, FS) == 4   # 250 samples is integral
 
 
