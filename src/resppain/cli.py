@@ -60,7 +60,7 @@ class ConfigError(Exception):
 # config schema
 
 def finite_float(s: str) -> float:
-    """float(s), rejecting nan and +-inf; parses config floats and --window-seconds."""
+    """float(s), rejecting nan and +-inf; parses config floats and the float flags."""
     v = float(s)
     if not math.isfinite(v):
         raise ValueError(f"must be a finite number, got {s!r}")
@@ -222,6 +222,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError(f"--per-class must be >= 1, got {args.per_class}")
     if args.val_per_class < 0 or args.test_per_class < 0:
         raise ConfigError("--val-per-class and --test-per-class must be >= 0")
+    if min(args.duration_s, args.sample_rate_hz) <= 0:
+        raise ConfigError(f"--duration-s and --sample-rate-hz must be > 0, "
+                          f"got {args.duration_s} and {args.sample_rate_hz}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts = {"train": args.per_class, "val": args.val_per_class, "test": args.test_per_class}
@@ -343,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--test-per-class", type=int, default=0)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--duration-s", type=float, default=10.0, dest="duration_s")
-    p_synth.add_argument("--sample-rate-hz", type=float, default=sig.SAMPLE_RATE_HZ,
+    p_synth.add_argument("--duration-s", type=finite_float, default=10.0, dest="duration_s")
+    p_synth.add_argument("--sample-rate-hz", type=finite_float, default=sig.SAMPLE_RATE_HZ,
                          dest="sample_rate_hz")
     p_synth.set_defaults(func=cmd_synth)
 

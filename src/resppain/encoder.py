@@ -20,9 +20,12 @@ activation (training mode only).
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import struct
-from dataclasses import dataclass, field
+import typing
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,39 +97,55 @@ def fourier_encode(x: np.ndarray, n_bands: int, max_freq: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # parameters
 
-def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape: tuple[int, ...], dtype) -> Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return nm.parameter(rng.uniform(-bound, bound, shape), dtype=dtype)
+# Every parameter is declared once, as a (name, shape, init rule) row in init order:
+# `draw_params` draws the rows and `training.load_pipeline` checks a file against them.
+ParamRow = tuple[str, tuple[int, ...], str]
+
+_INIT_RULES = {
+    "normal": lambda rng, shape: rng.normal(0.0, 0.02, shape),
+    "uniform": lambda rng, shape: rng.uniform(-1.0 / np.sqrt(shape[0]), 1.0 / np.sqrt(shape[0]), shape),
+    "zeros": lambda rng, shape: np.zeros(shape),
+    "ones": lambda rng, shape: np.ones(shape),
+}
 
 
-def _init_linear(params: dict, prefix: str, fan_in: int, fan_out: int,
-                 rng: np.random.Generator, dtype) -> None:
-    params[f"{prefix}.w"] = _uniform_fan_in(rng, fan_in, (fan_in, fan_out), dtype)
-    params[f"{prefix}.b"] = nm.parameter(np.zeros(fan_out), dtype=dtype)
+def draw_params(rows: Iterable[ParamRow], rng: np.random.Generator,
+                dtype=nm.DEFAULT_DTYPE) -> dict[str, Tensor]:
+    """One parameter per row, drawn in row order by its init rule."""
+    return {name: nm.parameter(_INIT_RULES[init](rng, shape), dtype=dtype) for name, shape, init in rows}
 
 
-def _init_norm(params: dict, prefix: str, dim: int, dtype) -> None:
-    params[f"{prefix}.g"] = nm.parameter(np.ones(dim), dtype=dtype)
-    params[f"{prefix}.b"] = nm.parameter(np.zeros(dim), dtype=dtype)
+def linear_rows(prefix: str, fan_in: int, fan_out: int) -> list[ParamRow]:
+    return [(f"{prefix}.w", (fan_in, fan_out), "uniform"), (f"{prefix}.b", (fan_out,), "zeros")]
 
 
-def _init_attention(params: dict, prefix: str, kv_dim: int, cfg: EncoderConfig,
-                    rng: np.random.Generator, dtype) -> None:
-    d = cfg.model_dim
-    _init_norm(params, f"{prefix}.ln_q", d, dtype)
-    _init_norm(params, f"{prefix}.ln_kv", kv_dim, dtype)
-    _init_linear(params, f"{prefix}.wq", d, d, rng, dtype)
-    _init_linear(params, f"{prefix}.wk", kv_dim, d, rng, dtype)
-    _init_linear(params, f"{prefix}.wv", kv_dim, d, rng, dtype)
-    _init_linear(params, f"{prefix}.wo", d, d, rng, dtype)
+def _norm_rows(prefix: str, dim: int) -> list[ParamRow]:
+    return [(f"{prefix}.g", (dim,), "ones"), (f"{prefix}.b", (dim,), "zeros")]
 
 
-def _init_ffn(params: dict, prefix: str, cfg: EncoderConfig, rng: np.random.Generator, dtype) -> None:
+def _attention_rows(prefix: str, kv_dim: int, d: int) -> list[ParamRow]:
+    return (_norm_rows(f"{prefix}.ln_q", d) + _norm_rows(f"{prefix}.ln_kv", kv_dim)
+            + linear_rows(f"{prefix}.wq", d, d) + linear_rows(f"{prefix}.wk", kv_dim, d)
+            + linear_rows(f"{prefix}.wv", kv_dim, d) + linear_rows(f"{prefix}.wo", d, d))
+
+
+def _ffn_rows(prefix: str, d: int, e: int) -> list[ParamRow]:
+    return (_norm_rows(f"{prefix}.ln", d) + linear_rows(f"{prefix}.wu", d, e * d)
+            + linear_rows(f"{prefix}.wg", d, e * d) + linear_rows(f"{prefix}.wo", e * d, d))
+
+
+def encoder_param_rows(cfg: EncoderConfig) -> Iterator[ParamRow]:
+    """The encoder's rows in key order, lazily: reading the first k costs O(k), whatever the depth."""
     d, e = cfg.model_dim, cfg.ffn_expansion
-    _init_norm(params, f"{prefix}.ln", d, dtype)
-    _init_linear(params, f"{prefix}.wu", d, e * d, rng, dtype)
-    _init_linear(params, f"{prefix}.wg", d, e * d, rng, dtype)
-    _init_linear(params, f"{prefix}.wo", e * d, d, rng, dtype)
+    yield ("latents", (cfg.n_latents, d), "normal")
+    for b in range(cfg.depth):
+        for c in range(cfg.cross_per_block):
+            base = f"block{b}.cross{c}"
+            yield from _attention_rows(f"{base}.attn", cfg.token_dim, d) + _ffn_rows(f"{base}.ffn", d, e)
+            for s in range(cfg.self_per_block):
+                yield from (_attention_rows(f"{base}.self{s}.attn", d, d)
+                            + _ffn_rows(f"{base}.self{s}.ffn", d, e))
+    yield from linear_rows("proj", d, cfg.out_dim)
 
 
 def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
@@ -137,18 +156,7 @@ def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
     uniform U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases start at zero and
     norm gains at one.
     """
-    params: dict[str, Tensor] = {}
-    params["latents"] = nm.parameter(rng.normal(0.0, 0.02, (cfg.n_latents, cfg.model_dim)), dtype=dtype)
-    for b in range(cfg.depth):
-        for c in range(cfg.cross_per_block):
-            base = f"block{b}.cross{c}"
-            _init_attention(params, f"{base}.attn", cfg.token_dim, cfg, rng, dtype)
-            _init_ffn(params, f"{base}.ffn", cfg, rng, dtype)
-            for s in range(cfg.self_per_block):
-                _init_attention(params, f"{base}.self{s}.attn", cfg.model_dim, cfg, rng, dtype)
-                _init_ffn(params, f"{base}.self{s}.ffn", cfg, rng, dtype)
-    _init_linear(params, "proj", cfg.model_dim, cfg.out_dim, rng, dtype)
-    return params
+    return draw_params(encoder_param_rows(cfg), rng, dtype)
 
 
 def _affine(x: Tensor, params: dict, prefix: str) -> Tensor:
@@ -260,9 +268,8 @@ def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
 #
 # Little-endian binary container:
 #   magic "RPCK", format version u32
-#   encoder config: depth, cross, self, n_latents, model_dim,
-#       fourier_bands, ffn_expansion, out_dim as u32; max_freq_hz,
-#       dropout as f64
+#   encoder config, derived from EncoderConfig's field order: its int fields
+#       (depth ... out_dim) as u32, then its float fields (max_freq_hz, dropout) as f64
 #   extras: u32 count, then per entry name (u16 length + utf8), type tag
 #       u8 (0 = int, 1 = float, 2 = str), value (i64 / f64 / u32 len + utf8)
 #   tensors: u32 count, then per tensor name (u16 length + utf8), ndim u8,
@@ -270,6 +277,11 @@ def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
 
 CHECKPOINT_MAGIC = b"RPCK"
 CHECKPOINT_VERSION = 1
+
+# (struct code, field names) per header run; a field of another type fails here
+_FIELD_CODES = {f.name: {int: "I", float: "d"}[typing.get_type_hints(EncoderConfig)[f.name]]
+                for f in dataclasses.fields(EncoderConfig)}
+_HEADER = tuple((code, tuple(n for n, c in _FIELD_CODES.items() if c == code)) for code in "Id")
 
 
 class CheckpointError(RuntimeError):
@@ -290,10 +302,8 @@ def save_checkpoint(path: str | Path, cfg: EncoderConfig, params: dict[str, Tens
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<8I", cfg.depth, cfg.cross_per_block, cfg.self_per_block,
-                          cfg.n_latents, cfg.model_dim, cfg.fourier_bands,
-                          cfg.ffn_expansion, cfg.out_dim))
-    buf.write(struct.pack("<2d", cfg.max_freq_hz, cfg.dropout))
+    for code, names in _HEADER:
+        buf.write(struct.pack(f"<{len(names)}{code}", *(getattr(cfg, n) for n in names)))
     extras = extras or {}
     buf.write(struct.pack("<I", len(extras)))
     for name, value in extras.items():
@@ -353,13 +363,11 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
     (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    depth, cross, self_, n_latents, model_dim, bands, expansion, out_dim = r.unpack("<8I")
-    max_freq, dropout = r.unpack("<2d")
+    fields = {}
+    for code, names in _HEADER:
+        fields.update(zip(names, r.unpack(f"<{len(names)}{code}")))
     try:
-        cfg = EncoderConfig(depth=depth, cross_per_block=cross, self_per_block=self_,
-                            n_latents=n_latents, model_dim=model_dim, fourier_bands=bands,
-                            max_freq_hz=max_freq, ffn_expansion=expansion,
-                            dropout=dropout, out_dim=out_dim)
+        cfg = EncoderConfig(**fields)
     except ValueError as e:
         raise CheckpointError(f"{path}: invalid config in header: {e}") from e
     extras: dict[str, int | float | str] = {}

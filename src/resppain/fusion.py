@@ -10,24 +10,25 @@ Gumbel-Softmax gate: during training one route is sampled as a one-hot
 argmax route is taken deterministically, no sampling involved.
 
 Each fusion variant is one `VARIANT_SPECS` entry (its heads and their
-input views, plus a combiner); init, forward and `cost`'s parameter and
-FLOP counts all read that table.
+input views, plus a combiner); the parameter declaration, init, forward
+and `cost`'s parameter and FLOP counts all read that table.
 
 Route order everywhere: (add, concat, full, avg).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
+from .encoder import ParamRow, draw_params, linear_rows
 from .numerics import Tensor
 
 GATE_TAU = 1.0
 N_ROUTES = 4
-ROUTE_NAMES = ("add", "concat", "full", "avg")
 
 
 @dataclass(frozen=True)
@@ -164,21 +165,23 @@ def gumbel_gate(bundle: LogitBundle, gate_g: Tensor, training: bool,
 # ---------------------------------------------------------------------------
 # fusion variants
 
+def fusion_param_rows(variant: str, n_windows: int, embed_dim: int, n_classes: int) -> Iterator[ParamRow]:
+    """The variant's head rows in spec order, then its combiner's scalars."""
+    spec = variant_spec(variant)
+    for prefix, width in spec.head_widths(n_windows, embed_dim):
+        yield from linear_rows(prefix, width, n_classes)
+    for name, size in COMBINER_PARAMS.get(spec.combiner, {}).items():
+        yield (name, (size,), "zeros")
+
+
 def init_fusion_params(variant: str, n_windows: int, embed_dim: int, n_classes: int,
                        rng: np.random.Generator, dtype=nm.DEFAULT_DTYPE) -> dict[str, Tensor]:
     """Heads (fan-in uniform init) and gate/coefficient scalars at zero."""
-    spec = variant_spec(variant)
+    variant_spec(variant)   # an unknown variant fails first
     if n_windows < 1 or embed_dim < 1 or n_classes < 2:
         raise ValueError(f"need n_windows >= 1, embed_dim >= 1, n_classes >= 2; "
                          f"got ({n_windows}, {embed_dim}, {n_classes})")
-    params: dict[str, Tensor] = {}
-    for prefix, width in spec.head_widths(n_windows, embed_dim):
-        bound = 1.0 / np.sqrt(width)
-        params[f"{prefix}.w"] = nm.parameter(rng.uniform(-bound, bound, (width, n_classes)), dtype=dtype)
-        params[f"{prefix}.b"] = nm.parameter(np.zeros(n_classes), dtype=dtype)
-    for name, size in COMBINER_PARAMS.get(spec.combiner, {}).items():
-        params[name] = nm.parameter(np.zeros(size), dtype=dtype)
-    return params
+    return draw_params(fusion_param_rows(variant, n_windows, embed_dim, n_classes), rng, dtype)
 
 
 def classify(z_add: Tensor, z_concat: Tensor, z_full: Tensor, params: dict, variant: str,

@@ -153,18 +153,10 @@ def _window_samples(window_seconds: float, sample_rate_hz: float) -> int:
     return w
 
 
-@dataclass(frozen=True)
-class WindowSet:
-    """Non-overlapping segmentation of one signal; last window zero-padded."""
-
-    windows: np.ndarray          # (n_windows, window_samples) float32
-    window_seconds: float
-    sample_rate_hz: float
-
-
-def segment_windows(x: np.ndarray, window_seconds: float, sample_rate_hz: float) -> WindowSet:
+def segment_windows(x: np.ndarray, window_seconds: float, sample_rate_hz: float) -> np.ndarray:
     """Split into ceil(len/w) contiguous windows of w = window_seconds * rate
-    samples, zero-padding the tail so every window has full length."""
+    samples, zero-padding the tail so every window has full length: a
+    (n_windows, w) float32 array."""
     x = np.ascontiguousarray(x, dtype=np.float32)
     if x.ndim != 1 or x.size == 0:
         raise DataError(f"segment_windows expects a non-empty vector, got shape {x.shape}")
@@ -172,8 +164,7 @@ def segment_windows(x: np.ndarray, window_seconds: float, sample_rate_hz: float)
     n = int(math.ceil(x.size / w))
     padded = np.zeros(n * w, dtype=np.float32)
     padded[: x.size] = x
-    return WindowSet(windows=padded.reshape(n, w), window_seconds=window_seconds,
-                     sample_rate_hz=sample_rate_hz)
+    return padded.reshape(n, w)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +194,11 @@ def synth_record(label: PainLabel, subject_id: str, rng: np.random.Generator,
                  duration_s: float = 10.0, sample_rate_hz: float = SAMPLE_RATE_HZ) -> RespirationRecord:
     """One synthetic breathing trace for the given class."""
     shape = SYNTH_CLASS_SHAPES[label]
-    n = int(round(duration_s * sample_rate_hz))
+    n_exact = duration_s * sample_rate_hz
+    n = int(round(n_exact)) if math.isfinite(n_exact) else 0
+    if not 1 <= n <= np.iinfo(np.intp).max:
+        raise DataError(f"{duration_s} s at {sample_rate_hz} Hz is not a sample count "
+                        f"in [1, {np.iinfo(np.intp).max}] ({n_exact})")
     t = np.arange(n, dtype=np.float64) / sample_rate_hz
     f = shape.carrier_hz + rng.uniform(-SYNTH_FREQ_JITTER_HZ, SYNTH_FREQ_JITTER_HZ)
     phase = rng.uniform(0.0, 2.0 * np.pi)

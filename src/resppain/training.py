@@ -15,6 +15,7 @@ logits -> label-smoothed cross-entropy.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 import typing
@@ -24,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import augment as aug
-from . import cost
 from . import encoder as enc
 from . import fusion as fus
 from . import numerics as nm
@@ -143,14 +143,8 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-            else:
-                v = self.v[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+            m = self.beta1 * self.m.get(name, 0.0) + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v.get(name, 0.0) + (1.0 - self.beta2) * (g * g)
             self.m[name], self.v[name] = m, v
             upd = (lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(p.data.dtype)
             params[name] = nm.parameter(p.data - upd, dtype=p.data.dtype)
@@ -164,8 +158,13 @@ def preprocess(x: np.ndarray, prep: sig.PreprocessConfig) -> tuple[np.ndarray, n
     if prep.filter_enabled:
         x = sig.bandpass_filter(x, prep.sample_rate_hz, prep.filter_low_hz, prep.filter_high_hz)
     padded = sig.pad_to_fixed(x, prep.pad_len)
-    ws = sig.segment_windows(padded, prep.window_seconds, prep.sample_rate_hz)
-    return ws.windows, padded
+    return sig.segment_windows(padded, prep.window_seconds, prep.sample_rate_hz), padded
+
+
+def _prepare(records: list[sig.RespirationRecord],
+             prep: sig.PreprocessConfig) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Preprocessed (windows, padded, label index) triples, no augmentation."""
+    return [(*preprocess(r.samples, prep), r.label.index) for r in records]
 
 
 def _check_sample_rates(records: list[sig.RespirationRecord], prep: sig.PreprocessConfig) -> None:
@@ -274,11 +273,7 @@ def evaluate(records: list[sig.RespirationRecord], enc_cfg: enc.EncoderConfig,
     if not records:
         raise sig.DataError("evaluate needs at least one record")
     _check_sample_rates(records, prep)
-    prepared = []
-    for r in records:
-        windows, padded = preprocess(r.samples, prep)
-        prepared.append((windows, padded, r.label.index))
-    return _evaluate_prepared(prepared, enc_cfg, params, variant)
+    return _evaluate_prepared(_prepare(records, prep), enc_cfg, params, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +346,7 @@ def train(train_records: list[sig.RespirationRecord],
                 enc_cfg.layout(), enc_cfg.n_latents, enc_cfg.model_dim,
                 n_windows, prep.window_seconds, variant)
 
-    val_prepared = []
-    for r in val_records:
-        windows, padded = preprocess(r.samples, prep)
-        val_prepared.append((windows, padded, r.label.index))
+    val_prepared = _prepare(val_records, prep)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
@@ -444,8 +436,8 @@ def load_pipeline(path: str | Path) -> tuple[enc.EncoderConfig, dict[str, Tensor
                                              sig.PreprocessConfig, str]:
     """Checkpoint -> (encoder config, trainable params, preprocessing, variant).
 
-    Every tensor name and shape must match what `init_pipeline_params`
-    builds for the stored config, variant and window count.
+    Every tensor name and shape must match the parameter rows the stored
+    config, variant and window count declare; the check builds no model.
     """
     cfg, arrays, extras = enc.load_checkpoint(path)
     missing = set(PIPELINE_EXTRAS) - extras.keys()
@@ -464,19 +456,18 @@ def load_pipeline(path: str | Path) -> tuple[enc.EncoderConfig, dict[str, Tensor
         n_windows = prep.n_windows
     except (TypeError, ValueError) as e:
         raise enc.CheckpointError(f"{path}: invalid preprocessing fields: {e}") from e
-    # a corrupt header must not make the template huge: build it only when
-    # it needs at most twice the parameters the file holds
-    stored = sum(a.size for a in arrays.values())
-    needed = cost.count_params(cfg, n_windows, sig.N_CLASSES, variant).params_total
-    if needed > 2 * stored:
-        raise enc.CheckpointError(f"{path}: holds {stored} parameters, but its config, variant "
-                                  f"{variant!r} and {n_windows} windows need {needed}")
-    want = {n: t.shape for n, t in init_pipeline_params(cfg, variant, n_windows, sig.N_CLASSES,
-                                                        np.random.default_rng(0)).items()}
+    # reading one row more than the file holds shows whether the config declares
+    # more, so a corrupt header (say depth 10**6) costs no more than the file
+    rows = itertools.chain(enc.encoder_param_rows(cfg),
+                           fus.fusion_param_rows(variant, n_windows, cfg.out_dim, sig.N_CLASSES))
+    want = {name: shape for name, shape, _ in itertools.islice(rows, len(arrays) + 1)}
     got = {n: a.shape for n, a in arrays.items()}
-    bad = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+    # after a cut walk, a file tensor not yet read may still be declared further on
+    names = want.keys() if len(want) > len(got) else want.keys() | got.keys()
+    bad = sorted(n for n in names if want.get(n) != got.get(n))
     if bad:
-        raise enc.CheckpointError(f"{path}: tensors do not fit the stored config: " + ", ".join(
-            f"{n} {got.get(n, 'missing')} (want {want.get(n, 'none')})" for n in bad[:5]))
+        raise enc.CheckpointError(f"{path}: tensors do not fit the stored config: " + "; ".join(
+            f"{n}: the file holds {got.get(n, 'nothing')}, the config needs {want.get(n, 'nothing')}"
+            for n in bad[:5]))
     params = {name: nm.parameter(arr) for name, arr in arrays.items()}
     return cfg, params, prep, variant

@@ -36,3 +36,8 @@ def weighted_sum(t: nm.Tensor, seed: int = 0) -> nm.Tensor:
     rng = np.random.default_rng(seed)
     w = nm.constant(rng.normal(size=t.shape), dtype=t.data.dtype)
     return nm.sum_all(nm.mul(t, w))
+
+
+def enumerate_params(params: dict) -> int:
+    """Ground-truth count: total elements across all learnable tensors."""
+    return sum(int(t.data.size) for t in params.values())

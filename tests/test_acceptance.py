@@ -12,6 +12,7 @@ import time
 import numpy as np
 
 import oracles
+from helpers import enumerate_params
 from resppain import augment as aug
 from resppain import cost
 from resppain import encoder as enc
@@ -35,10 +36,10 @@ def test_criterion_01_gradients_match_finite_differences():
                                 ffn_expansion=2, dropout=0.0, out_dim=4)
     rng = np.random.default_rng(41)
     x = rng.normal(0.0, 1.0, 20).astype(np.float32)
-    ws = sig.segment_windows(x, window_seconds=0.1, sample_rate_hz=100.0)
-    windows, padded = ws.windows, x
+    windows = sig.segment_windows(x, window_seconds=0.1, sample_rate_hz=100.0)
+    padded = x
     base = {k: t.data.astype(np.float64)
-            for k, t in trn.init_pipeline_params(enc_cfg, "lf_avg_gate", ws.windows.shape[0],
+            for k, t in trn.init_pipeline_params(enc_cfg, "lf_avg_gate", windows.shape[0],
                                                  3, rng).items()}
     target, smoothing = 1, 0.1
 
@@ -190,7 +191,7 @@ def test_criterion_03_param_counts_exact_ascending_within_band():
         cfg = enc.EncoderConfig(depth=d, cross_per_block=c, self_per_block=s)
         analytic = cost.count_params(cfg, n_windows=3).params_total
         model = trn.init_pipeline_params(cfg, "lf_avg_gate", 3, 3, np.random.default_rng(0))
-        enumerated = cost.enumerate_params(model)
+        enumerated = enumerate_params(model)
         assert analytic == enumerated, layout
         totals.append(analytic)
         del model
@@ -227,11 +228,11 @@ def test_criterion_05_windowing_padding_reconstruction():
     assert padded.shape == (1150,)
     np.testing.assert_array_equal(padded[:1000], x)
     assert not padded[1000:].any()
-    ws = sig.segment_windows(padded, window_seconds=5.0, sample_rate_hz=100.0)
-    assert ws.windows.shape == (3, 500)
-    assert not ws.windows[2, 150:].any()          # 350 trailing zeros
-    np.testing.assert_array_equal(ws.windows[2, :150], padded[1000:])
-    np.testing.assert_array_equal(ws.windows.reshape(-1)[:1150], padded)
+    windows = sig.segment_windows(padded, window_seconds=5.0, sample_rate_hz=100.0)
+    assert windows.shape == (3, 500)
+    assert not windows[2, 150:].any()          # 350 trailing zeros
+    np.testing.assert_array_equal(windows[2, :150], padded[1000:])
+    np.testing.assert_array_equal(windows.reshape(-1)[:1150], padded)
     _ok(5, "1000 -> pad 1150 -> 3x500 windows, 350-zero tail, exact reconstruction")
 
 

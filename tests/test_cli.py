@@ -113,6 +113,21 @@ def test_synth_rejects_bad_counts(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,value,code", [("--duration-s", "nan", 2), ("--duration-s", "inf", 2),
+                                             ("--duration-s", "-5", 2), ("--sample-rate-hz", "nan", 2),
+                                             ("--duration-s", "1e300", 3), ("--duration-s", "0.001", 3)])
+def test_synth_rejects_bad_duration_and_rate(tmp_path, capsys, flag, value, code):
+    # non-finite or non-positive flags are usage errors; a product that
+    # rounds to no sample count in [1, intp max] is a data error
+    try:
+        rc = cli.main(["synth", "--per-class", "1", "--out", str(tmp_path / "x"), flag, value])
+    except SystemExit as e:
+        rc = e.code
+    assert rc == code
+    assert "error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("x/*.txt"))
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -423,10 +438,17 @@ def _inflated_header(cfg, arrays, extras):
     return dataclasses.replace(cfg, n_latents=100_000)
 
 
+def _deep_header(cfg, arrays, extras):
+    # a million blocks are declared, but the check reads only one row more
+    # than the file holds and names a block1 tensor the file lacks
+    return dataclasses.replace(cfg, depth=10**6)
+
+
 @pytest.mark.parametrize("edit,named", [(_drop_ffn_wo, "block0.cross0.ffn.wo.w"),
                                         (_five_gate_scores, "gate.g"),
                                         (_four_classes, "classes"),
-                                        (_inflated_header, "holds")])
+                                        (_inflated_header, "holds"),
+                                        (_deep_header, "block1.cross0.attn.ln_kv.b: the file holds nothing")])
 def test_eval_rejects_checkpoint_that_does_not_fit_its_config(workspace, tmp_path, capsys,
                                                              edit, named):
     cfg, arrays, extras = enc.load_checkpoint(workspace["run"] / "checkpoint_best.bin")

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import enumerate_params
 from resppain import cost
 from resppain import encoder as enc
 from resppain import fusion as fus
@@ -30,24 +31,24 @@ def test_param_count_equals_enumeration_all_layouts():
         cfg = _cfg(layout)
         analytic = cost.count_params(cfg, n_windows=3).params_total
         params = trn.init_pipeline_params(cfg, "lf_avg_gate", 3, 3, np.random.default_rng(0))
-        assert analytic == cost.enumerate_params(params), layout
+        assert analytic == enumerate_params(params), layout
 
 
 def test_param_count_equals_enumeration_all_variants():
     for variant in fus.VARIANTS:
         analytic = cost.count_params(SMALL, n_windows=4, variant=variant).params_total
         params = trn.init_pipeline_params(SMALL, variant, 4, 3, np.random.default_rng(1))
-        assert analytic == cost.enumerate_params(params), variant
+        assert analytic == enumerate_params(params), variant
 
 
 def test_param_count_encoder_only_matches():
     # heads/gate components are exactly the fusion parameter count
     report = cost.count_params(SMALL, n_windows=3)
     fusion = fus.init_fusion_params("lf_avg_gate", 3, SMALL.out_dim, 3, np.random.default_rng(2))
-    fusion_n = cost.enumerate_params(fusion)
+    fusion_n = enumerate_params(fusion)
     assert report.params_by_component["heads"] + report.params_by_component["gate"] == fusion_n
     encoder = enc.init_encoder_params(SMALL, np.random.default_rng(3))
-    assert report.params_total - fusion_n == cost.enumerate_params(encoder)
+    assert report.params_total - fusion_n == enumerate_params(encoder)
 
 
 def test_param_totals_strictly_ascend_across_grid():

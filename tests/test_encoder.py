@@ -104,9 +104,7 @@ def test_config_validation():
 # attention block
 
 def _attention_param_pack(kv_dim, cfg, seed):
-    params = {}
-    enc._init_attention(params, "a", kv_dim, cfg, np.random.default_rng(seed), nm.DEFAULT_DTYPE)
-    return params
+    return enc.draw_params(enc._attention_rows("a", kv_dim, cfg.model_dim), np.random.default_rng(seed))
 
 
 def test_attention_matches_brute_force_oracle():
@@ -219,8 +217,7 @@ def test_attention_identical_tokens_context_size_invariant():
 
 def test_ffn_residual_identity_when_output_weights_zero():
     cfg = dataclasses.replace(TINY, model_dim=4, ffn_expansion=2)
-    params = {}
-    enc._init_ffn(params, "f", cfg, np.random.default_rng(5), nm.DEFAULT_DTYPE)
+    params = enc.draw_params(enc._ffn_rows("f", cfg.model_dim, cfg.ffn_expansion), np.random.default_rng(5))
     params["f.wo.w"] = nm.parameter(np.zeros((8, 4), dtype=np.float32))
     x = np.random.default_rng(6).normal(size=(3, 4)).astype(np.float32)
     out = enc.gated_ffn(nm.constant(x), params, "f", 0.0, False, None).data

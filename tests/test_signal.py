@@ -109,21 +109,21 @@ def test_n_windows_table():
 def test_segment_windows_five_second_example():
     # 1150 samples at 5 s windows: 3 windows, tail padded by 350
     x = np.arange(1150, dtype=np.float32)
-    ws = sig.segment_windows(x, 5.0, FS)
-    assert ws.windows.shape == (3, 500)
-    np.testing.assert_array_equal(ws.windows[0], x[:500])
-    np.testing.assert_array_equal(ws.windows[1], x[500:1000])
-    np.testing.assert_array_equal(ws.windows[2][:150], x[1000:])
-    np.testing.assert_array_equal(ws.windows[2][150:], np.zeros(350, dtype=np.float32))
-    flat = ws.windows.reshape(-1)
+    windows = sig.segment_windows(x, 5.0, FS)
+    assert windows.shape == (3, 500)
+    np.testing.assert_array_equal(windows[0], x[:500])
+    np.testing.assert_array_equal(windows[1], x[500:1000])
+    np.testing.assert_array_equal(windows[2][:150], x[1000:])
+    np.testing.assert_array_equal(windows[2][150:], np.zeros(350, dtype=np.float32))
+    flat = windows.reshape(-1)
     np.testing.assert_array_equal(flat[:1150], x)   # exact reconstruction
 
 
 def test_segment_windows_exact_multiple_has_no_padding():
     x = np.arange(1000, dtype=np.float32)
-    ws = sig.segment_windows(x, 5.0, FS)
-    assert ws.windows.shape == (2, 500)
-    np.testing.assert_array_equal(ws.windows.reshape(-1), x)
+    windows = sig.segment_windows(x, 5.0, FS)
+    assert windows.shape == (2, 500)
+    np.testing.assert_array_equal(windows.reshape(-1), x)
 
 
 def test_window_samples_must_be_integral():

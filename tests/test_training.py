@@ -362,6 +362,19 @@ def test_pipeline_checkpoint_round_trip(tmp_path):
     assert before.mean_loss == after.mean_loss
 
 
+def test_load_pipeline_draws_no_random_numbers(tmp_path, monkeypatch):
+    # the shape check walks the parameter declaration; it builds no model
+    records = _dataset()
+    result = trn.train(records, records, ENC, _quick_cfg(epochs=1), PREP, out_dir=tmp_path)
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_pipeline drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    _, params, _, _ = trn.load_pipeline(tmp_path / "checkpoint_final.bin")
+    assert list(params) == list(result.params)
+
+
 def test_load_pipeline_rejects_plain_encoder_checkpoint(tmp_path):
     params = enc.init_encoder_params(ENC, np.random.default_rng(0))
     enc.save_checkpoint(tmp_path / "plain.bin", ENC, params, {"variant": "lf_avg_gate"})
