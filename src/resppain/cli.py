@@ -296,6 +296,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    if args.input_len < 1:
+        raise ConfigError(f"--input-len must be >= 1, got {args.input_len}")
     defaults = enc.EncoderConfig()
     n_windows = sig.n_windows_for(args.input_len, args.window_seconds, sig.SAMPLE_RATE_HZ)
     window_samples = int(round(args.window_seconds * sig.SAMPLE_RATE_HZ))

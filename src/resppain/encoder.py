@@ -21,7 +21,9 @@ activation (training mode only).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import io
+import math
 import struct
 import typing
 from collections.abc import Iterable, Iterator
@@ -59,8 +61,8 @@ class EncoderConfig:
                              f"got ({self.depth}, {self.cross_per_block}, {self.self_per_block})")
         if min(self.n_latents, self.model_dim, self.fourier_bands, self.ffn_expansion, self.out_dim) < 1:
             raise ValueError("n_latents, model_dim, fourier_bands, ffn_expansion, out_dim must be >= 1")
-        if self.max_freq_hz <= 0:
-            raise ValueError(f"max_freq_hz must be positive, got {self.max_freq_hz}")
+        if not (math.isfinite(self.max_freq_hz) and self.max_freq_hz > 0):
+            raise ValueError(f"max_freq_hz must be finite and positive, got {self.max_freq_hz}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must satisfy 0 <= rate < 1, got {self.dropout}")
 
@@ -76,6 +78,17 @@ class EncoderConfig:
 # ---------------------------------------------------------------------------
 # tokenization
 
+@functools.lru_cache(maxsize=16)
+def _fourier_columns(t: int, n_bands: int, max_freq: float) -> np.ndarray:
+    """The (t, 2*n_bands + 1) sin, cos and position columns, computed once and frozen."""
+    p = np.full(1, -1.0) if t == 1 else np.linspace(-1.0, 1.0, t)
+    freqs = np.geomspace(1.0, max_freq, n_bands)
+    phase = np.pi * p[:, None] * freqs[None, :]
+    cols = np.concatenate([np.sin(phase), np.cos(phase), p[:, None]], axis=1)
+    cols.flags.writeable = False
+    return cols
+
+
 def fourier_encode(x: np.ndarray, n_bands: int, max_freq: float) -> np.ndarray:
     """Signal (T,) -> token matrix (T, 1 + 2*n_bands + 1).
 
@@ -83,15 +96,17 @@ def fourier_encode(x: np.ndarray, n_bands: int, max_freq: float) -> np.ndarray:
     n_bands frequencies f_k geometrically spaced in [1, max_freq], and the
     normalized position p itself.  p runs linearly over [-1, 1]; a single
     sample sits at p = -1.
+
+    Every column but the first depends only on (T, n_bands, max_freq), so
+    those columns are computed once per such key and kept, read-only, in
+    a small LRU cache.  A hit holds exactly what a fresh computation for
+    the same key would give, so no entry can go stale, and each call
+    still returns a new array the caller may write to.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise nm.ShapeError(f"fourier_encode expects a non-empty vector, got shape {x.shape}")
-    t = x.size
-    p = np.full(1, -1.0) if t == 1 else np.linspace(-1.0, 1.0, t)
-    freqs = np.geomspace(1.0, max_freq, n_bands)
-    phase = np.pi * p[:, None] * freqs[None, :]
-    return np.concatenate([x[:, None], np.sin(phase), np.cos(phase), p[:, None]], axis=1)
+    return np.concatenate([x[:, None], _fourier_columns(x.size, n_bands, max_freq)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +193,38 @@ def _score_query(latents: Tensor, params: dict, prefix: str) -> Tensor:
     return nm.scale(nm.matmul(q, nm.transpose(wk1)), 1.0 / np.sqrt(latents.shape[1]))
 
 
+# the tensors `latent_query` reads, and its last no-grad result as one
+# ((those tensors), query) tuple: a reader sees a key with its own query
+_QUERY_KEYS = ("latents",) + tuple(f"block0.cross0.attn.{n}" for n in
+                                   ("ln_q.g", "ln_q.b", "wq.w", "wq.b", "wk.w", "wk.b"))
+_last_query: tuple[tuple[Tensor, ...], Tensor] | None = None
+
+
 def latent_query(params: dict) -> Tensor:
     """(q Wk1^T) / sqrt(d) of the first cross-attention, block0.cross0.
 
     It reads only parameters, never the signal, so every signal encoded
     with the same params shares it: pass the result to `encode` as
     `query` to compute it once for all of them.
+
+    Under `no_grad` the last result is kept, keyed on the identity of
+    the seven tensors it reads, and returned while `params` maps them to
+    the very same objects.  Tensors are immutable and `Adam.step`
+    replaces every tensor it updates, so new values mean new objects and
+    a miss; the entry holds its key tensors, so their ids cannot be
+    reused.  With the tape live the query is always computed, so
+    gradients reach those tensors.
     """
-    return _score_query(params["latents"], params, "block0.cross0.attn")
+    global _last_query
+    if nm._grad_enabled.get():
+        return _score_query(params["latents"], params, "block0.cross0.attn")
+    key = tuple(params[name] for name in _QUERY_KEYS)
+    last = _last_query
+    if last is not None and all(a is b for a, b in zip(last[0], key)):
+        return last[1]
+    query = _score_query(params["latents"], params, "block0.cross0.attn")
+    _last_query = (key, query)
+    return query
 
 
 def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
@@ -330,10 +369,12 @@ def save_checkpoint(path: str | Path, cfg: EncoderConfig, params: dict[str, Tens
 
 
 class _Reader:
-    def __init__(self, raw: bytes, path: Path):
-        self.raw, self.off, self.path = raw, 0, path
+    """Sequential reads over the file bytes; `take` returns views, not copies."""
 
-    def take(self, n: int) -> bytes:
+    def __init__(self, raw: bytes, path: Path):
+        self.raw, self.off, self.path = memoryview(raw), 0, path
+
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.raw):
             raise CheckpointError(f"{self.path}: truncated checkpoint "
                                   f"(wanted {n} bytes at offset {self.off}, have {len(self.raw)})")
@@ -344,9 +385,16 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def take_str(self, n: int) -> str:
+        at = self.off
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"{self.path}: string at offset {at} is not UTF-8: {e}") from e
+
     def read_str(self) -> str:
         (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        return self.take_str(n)
 
 
 def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray],
@@ -381,7 +429,7 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
             (extras[name],) = r.unpack("<d")
         elif tag == 2:
             (n,) = r.unpack("<I")
-            extras[name] = r.take(n).decode("utf-8")
+            extras[name] = r.take_str(n)
         else:
             raise CheckpointError(f"{path}: unknown extras tag {tag} for {name!r}")
     params: dict[str, np.ndarray] = {}
@@ -390,8 +438,12 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
         name = r.read_str()
         (ndim,) = r.unpack("<B")
         shape = tuple(r.unpack(f"<{ndim}I")) if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        data = np.frombuffer(r.take(4 * count), dtype="<f4").reshape(shape)
+        # an exact product: a corrupt shape must not wrap around int64
+        chunk = r.take(4 * math.prod(shape))
+        try:
+            data = np.frombuffer(chunk, dtype="<f4").reshape(shape)
+        except ValueError as e:   # an empty tensor whose other dims overflow
+            raise CheckpointError(f"{path}: tensor {name!r} has unusable shape {shape}: {e}") from e
         params[name] = np.ascontiguousarray(data, dtype=np.float32)
     if r.off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - r.off} trailing bytes after checkpoint payload")

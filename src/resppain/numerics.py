@@ -424,10 +424,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine shapes {gain.shape}/{bias.shape} do not match feature dim {d}")
     x = a.data.astype(np.float64)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    xc = x - x.mean(axis=-1, keepdims=True)
+    # the same steps as np.var, without its second mean and subtraction
+    var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     out = _store(xhat * gain.data.astype(np.float64) + bias.data.astype(np.float64), a)
 
     def bwd(g: np.ndarray):

@@ -10,6 +10,7 @@ standalone function so tests can pin its contract in isolation.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -99,6 +100,14 @@ class PreprocessConfig:
 # ---------------------------------------------------------------------------
 # preprocessing
 
+@functools.lru_cache(maxsize=8)
+def _bandpass_sos(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
+    """The Butterworth sections for one band and rate, designed once and frozen."""
+    sos = butter(2, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
 def bandpass_filter(x: np.ndarray, sample_rate_hz: float,
                     low_hz: float = BAND_LOW_HZ, high_hz: float = BAND_HIGH_HZ) -> np.ndarray:
     """Zero-phase 4th-order Butterworth band-pass.
@@ -108,6 +117,12 @@ def bandpass_filter(x: np.ndarray, sample_rate_hz: float,
     cancels the phase.  Filtering happens in float64: the low band edge
     sits at 1e-3 of Nyquist, where a transfer-function realization would
     be numerically fragile.
+
+    The sections depend only on (low_hz, high_hz, sample_rate_hz), so they
+    are designed once per such key and kept frozen in a small LRU cache:
+    a hit returns what `butter` would compute for the same key, so no
+    entry can go stale.  The filter runs on a copy (12 floats), since
+    scipy's `sosfilt` refuses a read-only array.
     """
     x = np.asarray(x)
     if x.ndim != 1:
@@ -116,11 +131,11 @@ def bandpass_filter(x: np.ndarray, sample_rate_hz: float,
         raise DataError(
             f"band ({low_hz}, {high_hz}) Hz must satisfy 0 < low < high < {sample_rate_hz / 2.0} (Nyquist)"
         )
-    sos = butter(2, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos")
+    sos = _bandpass_sos(low_hz, high_hz, sample_rate_hz)
     padlen = 3 * (2 * sos.shape[0] + 1)
     if x.size <= padlen:
         raise DataError(f"signal of {x.size} samples is too short to filter (needs > {padlen})")
-    y = sosfiltfilt(sos, x.astype(np.float64))
+    y = sosfiltfilt(sos.copy(), x.astype(np.float64))
     return np.ascontiguousarray(y, dtype=np.float32)
 
 
@@ -227,7 +242,7 @@ def synth_dataset(n_per_class: int, seed: int | list[int], duration_s: float = 1
 # ---------------------------------------------------------------------------
 # text I/O
 #
-# One recording per text file:
+# One recording per UTF-8 text file:
 #     subject_id=<string>
 #     label=<NoPain|LowPain|HighPain>
 #     <one decimal sample per line>
@@ -243,15 +258,15 @@ def save_record(path: str | Path, record: RespirationRecord) -> None:
     lines = [f"subject_id={record.subject_id}", f"label={record.label.value}"]
     # repr of the exact float64 image of each float32 sample is lossless
     lines.extend(repr(float(v)) for v in record.samples)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_record(path: str | Path, sample_rate_hz: float = SAMPLE_RATE_HZ) -> RespirationRecord:
     """Parse one recording file; malformed content raises DataError."""
     path = Path(path)
     try:
-        raw = path.read_text()
-    except OSError as e:
+        raw = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read record {path}: {e}") from e
     lines = raw.splitlines()
     if len(lines) < 3:
@@ -276,14 +291,14 @@ def write_manifest(path: str | Path, entries: list[tuple[str, str]]) -> None:
     for rel, split in entries:
         if split not in SPLITS:
             raise DataError(f"manifest split {split!r} not in {SPLITS}")
-    path.write_text("".join(f"{rel}\t{split}\n" for rel, split in entries))
+    path.write_text("".join(f"{rel}\t{split}\n" for rel, split in entries), encoding="utf-8")
 
 
 def read_manifest(path: str | Path) -> list[tuple[str, str]]:
     path = Path(path)
     try:
-        raw = path.read_text()
-    except OSError as e:
+        raw = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read manifest {path}: {e}") from e
     entries = []
     for ln, line in enumerate(raw.splitlines(), start=1):

@@ -454,7 +454,7 @@ def load_pipeline(path: str | Path) -> tuple[enc.EncoderConfig, dict[str, Tensor
         prep = sig.PreprocessConfig(**{f.name: hints[f.name](extras[f.name])
                                        for f in dataclasses.fields(sig.PreprocessConfig)})
         n_windows = prep.n_windows
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:   # int(inf) overflows
         raise enc.CheckpointError(f"{path}: invalid preprocessing fields: {e}") from e
     # reading one row more than the file holds shows whether the config declares
     # more, so a corrupt header (say depth 10**6) costs no more than the file

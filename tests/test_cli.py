@@ -5,6 +5,7 @@ checkpoints. Everything runs in-process through main(argv)."""
 import argparse
 import dataclasses
 import filecmp
+import struct
 from pathlib import Path
 
 import pytest
@@ -462,6 +463,50 @@ def test_eval_rejects_checkpoint_that_does_not_fit_its_config(workspace, tmp_pat
     assert "checkpoint error" in err and named in err
 
 
+def _eval_rc(checkpoint, manifest, capsys) -> tuple[int, str]:
+    rc = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(manifest)])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [(b"\x07\x00variant", b"\x07\x00\xffariant"),   # an extras name
+                                     (b"lf_avg_gate", b"\xfff_avg_gate"),            # a string extra
+                                     (b"\x07\x00latents", b"\x07\x00\xffatents")])  # a tensor name
+def test_eval_rejects_checkpoint_string_that_is_not_utf8(workspace, tmp_path, capsys, old, new):
+    raw = (workspace["run"] / "checkpoint_best.bin").read_bytes()
+    assert raw.count(old) == 1
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw.replace(old, new))
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "checkpoint error" in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_eval_rejects_header_max_freq_that_is_not_finite_and_positive(workspace, tmp_path, capsys, value):
+    raw = bytearray((workspace["run"] / "checkpoint_best.bin").read_bytes())
+    ints, floats = (names for _, names in enc._HEADER)
+    struct.pack_into("<d", raw, 8 + 4 * len(ints) + 8 * floats.index("max_freq_hz"), value)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(raw))
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "checkpoint error" in err and "max_freq_hz" in err
+
+
+def test_eval_rejects_record_and_manifest_that_are_not_utf8(workspace, tmp_path, capsys):
+    data = workspace["data"]
+    rel, _ = sig.read_manifest(data / "manifest.tsv")[0]
+    record = tmp_path / "rec.txt"
+    record.write_bytes((data / rel).read_bytes().replace(b"subject_id=", b"subject_id=\xff", 1))
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("rec.txt\ttest\n", encoding="utf-8")
+    rc, err = _eval_rc(workspace["run"] / "checkpoint_best.bin", manifest, capsys)
+    assert rc == 3 and "cannot read record" in err
+    manifest.write_bytes(b"rec.txt\ttest\xff\n")
+    rc, err = _eval_rc(workspace["run"] / "checkpoint_best.bin", manifest, capsys)
+    assert rc == 3 and "cannot read manifest" in err
+
+
 # ---------------------------------------------------------------------------
 # profile
 
@@ -487,3 +532,10 @@ def test_profile_custom_input_len(capsys):
     assert cli.main(["profile", "--input-len", "600"]) == 0
     out = capsys.readouterr().out
     assert "600-sample input" in out
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_profile_rejects_input_len_below_one(capsys, value):
+    assert cli.main(["profile", "--input-len", value]) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "--input-len" in captured.err and captured.out == ""

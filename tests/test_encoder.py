@@ -2,6 +2,8 @@
 structural invariants, gradients, and checkpoint serialization."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -54,6 +56,18 @@ def test_fourier_encode_single_sample_sits_at_minus_one():
     np.testing.assert_allclose(tok[0, 1], np.sin(-np.pi), atol=1e-12)
     with pytest.raises(nm.ShapeError):
         enc.fourier_encode(np.zeros((2, 2)), 2, 4.0)
+
+
+@pytest.mark.parametrize("n_bands,max_freq", [(6, 10.0), (2, 4.0)])
+def test_fourier_encode_cached_columns_match_oracle(n_bands, max_freq):
+    rng = np.random.default_rng(n_bands)
+    for t in (1, 2, 500, 1150, 1, 1150):   # the repeats hit the cache
+        x = rng.normal(size=t)
+        got = enc.fourier_encode(x, n_bands, max_freq)
+        np.testing.assert_allclose(got, oracles.fourier_features(x, n_bands, max_freq), atol=1e-12)
+        got[:] = 7.0   # the caller owns what it gets back
+        again = enc.fourier_encode(x, n_bands, max_freq)
+        np.testing.assert_allclose(again, oracles.fourier_features(x, n_bands, max_freq), atol=1e-12)
 
 
 def test_token_dim_property():
@@ -299,6 +313,85 @@ def test_forward_views_computes_first_query_once(monkeypatch):
         trn.forward_views(windows, padded, TINY, params, training, np.random.default_rng(0))
         assert sum(calls) == 1
         assert len(calls) == 1 + 4 * 2    # plus ln_kv and the FFN norm per encode
+
+
+def _counting_latent_norm(monkeypatch, params) -> list:
+    real_norm, calls = nm.layer_norm, []
+
+    def counting_norm(a, gain, bias, eps=1e-5):
+        if a is params["latents"]:
+            calls.append(a)
+        return real_norm(a, gain, bias, eps)
+
+    monkeypatch.setattr(nm, "layer_norm", counting_norm)
+    return calls
+
+
+def test_latent_query_is_reused_under_no_grad(monkeypatch):
+    params = _params(TINY, seed=21)
+    calls = _counting_latent_norm(monkeypatch, params)
+    with nm.no_grad():
+        first = enc.latent_query(params)
+        assert enc.latent_query(params) is first
+        assert enc.latent_query(dict(params)) is first   # same tensors, another dict
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["latents"] + [f"block0.cross0.attn.{n}" for n in
+                                                ("ln_q.g", "ln_q.b", "wq.w", "wq.b", "wk.w", "wk.b")])
+def test_latent_query_is_recomputed_after_a_step_replaces_one_of_its_tensors(name):
+    params = _params(TINY, seed=21)
+    with nm.no_grad():
+        before = enc.latent_query(params)
+    params[name].grad = np.ones(params[name].shape, dtype=np.float32)
+    trn.Adam().step(params, lr=0.01)   # replaces this tensor only
+    with nm.no_grad():
+        after = enc.latent_query(params)
+    fresh = enc._score_query(params["latents"], params, "block0.cross0.attn")
+    np.testing.assert_array_equal(after.data, fresh.data)
+    assert not np.array_equal(after.data, before.data)
+
+
+def test_latent_query_with_live_tape_always_records(monkeypatch):
+    params = _params(TINY, seed=22)
+    calls = _counting_latent_norm(monkeypatch, params)
+    with nm.no_grad():
+        enc.latent_query(params)
+    queries = [enc.latent_query(params) for _ in range(2)]
+    assert len(calls) == 3
+    assert queries[0] is not queries[1] and all(q.requires_grad for q in queries)
+    grads = nm.backward(weighted_sum(queries[1], seed=3))
+    assert all(params[name] in grads for name in enc._QUERY_KEYS)
+
+
+def test_latent_query_cache_pairs_each_key_with_its_own_query_across_threads():
+    # threads alternate between two param sets; a query read with the other
+    # set's key would show as a wrong value
+    sets = [_params(TINY, seed=s) for s in (23, 24)]
+    with nm.no_grad():
+        want = [enc._score_query(p["latents"], p, "block0.cross0.attn").data for p in sets]
+    wrong, finished = [], []
+
+    def worker(offset: int):
+        with nm.no_grad():
+            for i in range(2000):   # a torn (key, query) write shows within ~2 s
+                k = (i + offset) % 2
+                if not np.array_equal(enc.latent_query(sets[k]).data, want[k]):
+                    wrong.append(k)
+        finished.append(offset)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(finished) == [0, 1, 2, 3] and wrong == []
 
 
 def test_encode_gradients_reach_every_parameter():

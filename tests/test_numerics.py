@@ -100,6 +100,18 @@ def test_layer_norm_matches_oracle():
     np.testing.assert_allclose(got, want, atol=1e-6)
 
 
+def test_layer_norm_statistics_equal_np_var_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for shape, scale in (((1, 5), 1e-3), ((16, 32), 1.0), ((500, 14), 1e4), ((3, 4, 9), 10.0)):
+        x = (rng.normal(size=shape) * scale + scale).astype(np.float32)
+        g = np.ones(shape[-1], dtype=np.float32)
+        x64 = x.astype(np.float64)
+        mu = x64.mean(axis=-1, keepdims=True)
+        want = ((x64 - mu) / np.sqrt(x64.var(axis=-1, keepdims=True) + 1e-5)).astype(np.float32)
+        got = nm.layer_norm(nm.constant(x), nm.constant(g), nm.constant(0 * g)).data
+        np.testing.assert_array_equal(got, want)
+
+
 def test_gelu_matches_oracle():
     x = np.linspace(-4, 4, 33).astype(np.float64)
     got = nm.gelu(nm.constant(x, dtype=np.float64)).data

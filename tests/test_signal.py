@@ -3,6 +3,7 @@ arithmetic, synthetic generator statistics, and text round trips."""
 
 import numpy as np
 import pytest
+from scipy.signal import butter, sosfiltfilt
 
 from resppain import signal as sig
 
@@ -82,6 +83,19 @@ def test_filter_output_dtype_and_errors():
         sig.bandpass_filter(_tone(0.2, 30.0), FS, low_hz=0.5, high_hz=0.05)
     with pytest.raises(sig.DataError):
         sig.bandpass_filter(_tone(0.2, 30.0), FS, low_hz=0.05, high_hz=60.0)
+
+
+def test_filter_design_cache_matches_a_fresh_design():
+    # calls alternate between two bands and two rates; each equals a
+    # filter designed afresh for its own key
+    x = np.random.default_rng(1).normal(size=1500).astype(np.float32)
+    for _ in range(2):
+        for rate in (FS, 50.0):
+            for low, high in ((0.05, 0.5), (0.1, 2.0)):
+                sos = butter(2, [low, high], btype="bandpass", fs=rate, output="sos")
+                want = sosfiltfilt(sos, x.astype(np.float64)).astype(np.float32)
+                np.testing.assert_array_equal(sig.bandpass_filter(x, rate, low, high), want)
+    assert not sig._bandpass_sos(0.05, 0.5, FS).flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -276,3 +290,14 @@ def test_load_dataset_groups_by_split(tmp_path):
     splits = sig.load_dataset(tmp_path / "m.tsv")
     assert {k: len(v) for k, v in splits.items()} == {"train": 1, "val": 1, "test": 1}
     np.testing.assert_array_equal(splits["train"][0].samples, records[0].samples)
+
+
+def test_undecodable_record_and_manifest_are_data_errors(tmp_path):
+    rec = tmp_path / "rec.txt"
+    rec.write_bytes(b"subject_id=\xff\nlabel=NoPain\n1.0\n")
+    with pytest.raises(sig.DataError, match="cannot read record"):
+        sig.load_record(rec)
+    man = tmp_path / "manifest.tsv"
+    man.write_bytes(b"rec.txt\ttrain\n\xfe\n")
+    with pytest.raises(sig.DataError, match="cannot read manifest"):
+        sig.read_manifest(man)

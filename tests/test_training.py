@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from resppain import numerics as nm
@@ -380,6 +381,46 @@ def test_load_pipeline_rejects_plain_encoder_checkpoint(tmp_path):
     enc.save_checkpoint(tmp_path / "plain.bin", ENC, params, {"variant": "lf_avg_gate"})
     with pytest.raises(enc.CheckpointError, match="pipeline fields"):
         trn.load_pipeline(tmp_path / "plain.bin")
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_load_pipeline_rejects_non_finite_pad_len(tmp_path, value):
+    params = trn.init_pipeline_params(ENC, "lf_avg_gate", PREP.n_windows, sig.N_CLASSES,
+                                      np.random.default_rng(0))
+    extras = {"variant": "lf_avg_gate", "n_classes": sig.N_CLASSES, **dataclasses.asdict(PREP)}
+    extras["pad_len"] = value   # an int field stored as a float
+    enc.save_checkpoint(tmp_path / "bad.bin", ENC, params, extras)
+    with pytest.raises(enc.CheckpointError, match="preprocessing fields"):
+        trn.load_pipeline(tmp_path / "bad.bin")
+
+
+@pytest.fixture(scope="module")
+def micro_checkpoint(tmp_path_factory) -> bytes:
+    cfg = enc.EncoderConfig(n_latents=2, model_dim=2, fourier_bands=1, ffn_expansion=1, out_dim=2)
+    prep = sig.PreprocessConfig(pad_len=400, window_seconds=2.0)
+    params = trn.init_pipeline_params(cfg, "lf_avg_gate", prep.n_windows, sig.N_CLASSES,
+                                      np.random.default_rng(0))
+    path = tmp_path_factory.mktemp("micro") / "micro.bin"
+    trn.save_pipeline(path, cfg, params, prep, "lf_avg_gate", sig.N_CLASSES)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_corrupt_checkpoint_raises_only_checkpoint_error(micro_checkpoint, tmp_path_factory, data):
+    # up to three flipped bytes, then an optional cut: the file loads or
+    # load_pipeline raises CheckpointError, never another exception
+    raw = bytearray(micro_checkpoint)
+    for at, mask in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                                       max_size=3), label="flips"):
+        raw[at] ^= mask
+    raw = raw[:data.draw(st.integers(0, len(raw)), label="cut")]
+    path = tmp_path_factory.getbasetemp() / "corrupt.bin"
+    path.write_bytes(bytes(raw))
+    try:
+        trn.load_pipeline(path)
+    except enc.CheckpointError:
+        pass
 
 
 def test_init_pipeline_params_is_union_of_parts():
