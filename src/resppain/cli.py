@@ -157,7 +157,7 @@ def read_config(path: str | Path) -> dict[str, dict[str, object]]:
     """Parse and validate a config file against the schema."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     try:
@@ -251,7 +251,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("no dataset given: pass --data or set data.manifest in the config")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config_used.ini").write_text(serialize_settings(settings))
+    (out / "config_used.ini").write_text(serialize_settings(settings), encoding="utf-8")
     splits = sig.load_dataset(settings.manifest, settings.prep.sample_rate_hz)
     if not splits["train"] or not splits["val"]:
         raise sig.DataError(f"manifest {settings.manifest} needs non-empty train and val splits "

@@ -81,7 +81,7 @@ class EncoderConfig:
 @functools.lru_cache(maxsize=16)
 def _fourier_columns(t: int, n_bands: int, max_freq: float) -> np.ndarray:
     """The (t, 2*n_bands + 1) sin, cos and position columns, computed once and frozen."""
-    p = np.full(1, -1.0) if t == 1 else np.linspace(-1.0, 1.0, t)
+    p = np.linspace(-1.0, 1.0, t)   # a single sample sits at -1
     freqs = np.geomspace(1.0, max_freq, n_bands)
     phase = np.pi * p[:, None] * freqs[None, :]
     cols = np.concatenate([np.sin(phase), np.cos(phase), p[:, None]], axis=1)
@@ -185,19 +185,21 @@ def _norm(x: Tensor, params: dict, prefix: str) -> Tensor:
 # ---------------------------------------------------------------------------
 # blocks
 
-def _score_query(latents: Tensor, params: dict, prefix: str) -> Tensor:
+def _query_tensors(latents: Tensor, params: dict, prefix: str) -> tuple[Tensor, ...]:
+    """The seven tensors the scores' latent half reads, in `_score_query`'s argument order."""
+    return (latents, *(params[f"{prefix}.{n}"] for n in ("ln_q.g", "ln_q.b", "wq.w", "wq.b", "wk.w", "wk.b")))
+
+
+def _score_query(latents: Tensor, ln_g: Tensor, ln_b: Tensor, wq_w: Tensor, wq_b: Tensor,
+                 wk_w: Tensor, wk_b: Tensor) -> Tensor:
     """(q Wk1^T) / sqrt(d) with q = wq(ln_q(latents)): the latent half of
     the attention scores, (n, c+1), where Wk1 = [wk.w ; wk.b]."""
-    q = _affine(_norm(latents, params, f"{prefix}.ln_q"), params, f"{prefix}.wq")
-    wk1 = nm.stack_rows([params[f"{prefix}.wk.w"], params[f"{prefix}.wk.b"]])
+    q = nm.add(nm.matmul(nm.layer_norm(latents, ln_g, ln_b), wq_w), wq_b)
+    wk1 = nm.stack_rows([wk_w, wk_b])
     return nm.scale(nm.matmul(q, nm.transpose(wk1)), 1.0 / np.sqrt(latents.shape[1]))
 
 
-# the tensors `latent_query` reads, and its last no-grad result as one
-# ((those tensors), query) tuple: a reader sees a key with its own query
-_QUERY_KEYS = ("latents",) + tuple(f"block0.cross0.attn.{n}" for n in
-                                   ("ln_q.g", "ln_q.b", "wq.w", "wq.b", "wk.w", "wk.b"))
-_last_query: tuple[tuple[Tensor, ...], Tensor] | None = None
+_cached_score_query = functools.lru_cache(maxsize=1)(_score_query)
 
 
 def latent_query(params: dict) -> Tensor:
@@ -207,24 +209,16 @@ def latent_query(params: dict) -> Tensor:
     with the same params shares it: pass the result to `encode` as
     `query` to compute it once for all of them.
 
-    Under `no_grad` the last result is kept, keyed on the identity of
-    the seven tensors it reads, and returned while `params` maps them to
-    the very same objects.  Tensors are immutable and `Adam.step`
-    replaces every tensor it updates, so new values mean new objects and
-    a miss; the entry holds its key tensors, so their ids cannot be
-    reused.  With the tape live the query is always computed, so
-    gradients reach those tensors.
+    Under `no_grad` the last result is kept, keyed on the seven tensors
+    it reads, which hash by identity, and returned while `params` maps
+    them to the very same objects.  Tensors are immutable and
+    `Adam.step` replaces every tensor it updates, so new values mean new
+    objects and a miss; the entry holds its key tensors, so their ids
+    cannot be reused.  With the tape live the query is always computed,
+    so gradients reach those tensors.
     """
-    global _last_query
-    if nm._grad_enabled.get():
-        return _score_query(params["latents"], params, "block0.cross0.attn")
-    key = tuple(params[name] for name in _QUERY_KEYS)
-    last = _last_query
-    if last is not None and all(a is b for a, b in zip(last[0], key)):
-        return last[1]
-    query = _score_query(params["latents"], params, "block0.cross0.attn")
-    _last_query = (key, query)
-    return query
+    tensors = _query_tensors(params["latents"], params, "block0.cross0.attn")
+    return (_score_query if nm._grad_enabled.get() else _cached_score_query)(*tensors)
 
 
 def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
@@ -249,7 +243,7 @@ def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
     themselves.  A given `query` is used in place of the scores' latent
     half (Q Wk1^T) / sqrt(d); it must be exactly that (`latent_query`).
     """
-    a = _score_query(latents, params, prefix) if query is None else query
+    a = _score_query(*_query_tensors(latents, params, prefix)) if query is None else query
     kn = _norm(context, params, f"{prefix}.ln_kv")
     ones = nm.constant(np.ones(kn.shape[0]), dtype=kn.dtype)
     k1t = nm.stack_rows([nm.transpose(kn), ones])

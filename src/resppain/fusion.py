@@ -87,19 +87,6 @@ def fuse_windows(embeddings: list[Tensor]) -> tuple[Tensor, Tensor]:
     return nm.add_n(embeddings), nm.concat_vec(embeddings)
 
 
-@dataclass(frozen=True)
-class LogitBundle:
-    """Per-route class logits; l_avg is the exact mean of the other three."""
-
-    l_add: Tensor
-    l_concat: Tensor
-    l_full: Tensor
-    l_avg: Tensor
-
-    def routes(self) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-        return (self.l_add, self.l_concat, self.l_full, self.l_avg)
-
-
 def _head(z: Tensor, params: dict, prefix: str) -> Tensor:
     w = params[f"{prefix}.w"]
     if z.shape[0] != w.shape[0]:
@@ -123,43 +110,35 @@ def _mean(logits: list[Tensor]) -> Tensor:
     return nm.scale(nm.add_n(logits), 1.0 / len(logits))
 
 
-def heads_forward(z_add: Tensor, z_concat: Tensor, z_full: Tensor, params: dict) -> LogitBundle:
-    """The lf_avg_gate heads (add, concat, full) plus their logit average."""
-    logits = _head_logits(VARIANT_SPECS["lf_avg_gate"], z_add, z_concat, z_full, params)
-    return LogitBundle(*logits, _mean(logits))
-
-
 def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:
     """Standard Gumbel(0, 1) noise via -log(-log U)."""
     u = rng.random(shape)
     return -np.log(-np.log(np.clip(u, 1e-12, 1.0 - 1e-12)))
 
 
-def gumbel_gate(bundle: LogitBundle, gate_g: Tensor, training: bool,
-                rng: np.random.Generator | None, tau: float = GATE_TAU) -> tuple[Tensor, int]:
+def gumbel_gate(routes: list[Tensor], gate_g: Tensor, training: bool,
+                rng: np.random.Generator | None) -> tuple[Tensor, int]:
     """Route selection; returns (final logits, selected route index).
 
     Training: perturb the gate scores with Gumbel noise, take the hard
-    one-hot of softmax((g + noise) / tau), and let gradients flow through
-    the soft weights (straight-through).  Inference: argmax(g), exact
-    copy of that route's logits, nothing sampled.
+    one-hot of softmax((g + noise) / GATE_TAU), and let gradients flow
+    through the soft weights (straight-through).  Inference: argmax(g),
+    exact copy of that route's logits, nothing sampled.
     """
     if gate_g.shape != (N_ROUTES,):
         raise nm.ShapeError(f"gate expects {N_ROUTES} scores, got shape {gate_g.shape}")
-    routes = bundle.routes()
     if not training:
         chosen = int(np.argmax(gate_g.data))
         return routes[chosen], chosen
     if rng is None:
         raise ValueError("gumbel_gate in training mode needs an explicit rng")
     noise = sample_gumbel(rng, (N_ROUTES,))
-    soft = nm.softmax_rows(nm.scale(nm.add_const(gate_g, noise), 1.0 / tau))
+    soft = nm.softmax_rows(nm.scale(nm.add_const(gate_g, noise), 1.0 / GATE_TAU))
     chosen = int(np.argmax(soft.data))
     one_hot = np.zeros(N_ROUTES, dtype=soft.data.dtype)
     one_hot[chosen] = 1.0
     w = nm.straight_through(soft, one_hot)
-    logit_rows = nm.stack_rows(list(routes))
-    return nm.matmul(w, logit_rows), chosen
+    return nm.matmul(w, nm.stack_rows(routes)), chosen
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +171,9 @@ def classify(z_add: Tensor, z_concat: Tensor, z_full: Tensor, params: dict, vari
     discrete selection to log.
     """
     spec = variant_spec(variant)
-    if spec.combiner == "gate":
-        bundle = heads_forward(z_add, z_concat, z_full, params)
-        return gumbel_gate(bundle, params["gate.g"], training, rng)
     logits = _head_logits(spec, z_add, z_concat, z_full, params)
+    if spec.combiner == "gate":
+        return gumbel_gate([*logits, _mean(logits)], params["gate.g"], training, rng)
     if spec.combiner == "mean":
         return _mean(logits), None
     if spec.combiner == "coef":

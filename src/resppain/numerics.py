@@ -29,6 +29,9 @@ Precision policy:
   ``Tensor(...)``, ``parameter``, ``constant`` and ``straight_through``
   take caller arrays, and they copy them before freezing.
 
+Ops that reduce within their input (softmax, log softmax, layer norm)
+reduce over the last axis, so a vector is simply one row.
+
 RNG is never global: any stochastic op (dropout) takes an explicit
 numpy Generator.  Tape state is not global either: whether ops record is
 a context variable, so ``no_grad()`` in one thread leaves recording on
@@ -155,14 +158,14 @@ def _check_same_dtype(*ts: Tensor) -> None:
 # arithmetic
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m,k)@(k,n)->(m,n); also (k,)@(k,n)->(n,) and (m,k)@(k,)->(m,).
+    """(m,k)@(k,n)->(m,n); also (k,)@(k,n)->(n,).
 
     Contractions run in float64 and round once to the storage dtype, so
     small shapes agree bit-for-bit with a sequential triple-loop oracle.
     """
     _check_same_dtype(a, b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects 1-D/2-D operands, got {a.shape} @ {b.shape}")
+    if a.data.ndim not in (1, 2) or b.data.ndim != 2:
+        raise ShapeError(f"matmul expects a 1-D/2-D operand times a matrix, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = _store(a.data.astype(np.float64, copy=False) @ b.data.astype(np.float64, copy=False), a)
@@ -171,16 +174,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         a64 = a.data.astype(np.float64, copy=False)
         b64 = b.data.astype(np.float64, copy=False)
         g64 = g.astype(np.float64, copy=False)
-        if a.data.ndim == 2 and b.data.ndim == 2:
-            ga = g64 @ b64.T
-            gb = a64.T @ g64
-        elif a.data.ndim == 1 and b.data.ndim == 2:
-            ga = b64 @ g64          # (k,n)@(n,) -> (k,)
-            gb = np.outer(a64, g64)
-        else:                       # (m,k)@(k,)
-            ga = np.outer(g64, b64)
-            gb = a64.T @ g64
-        return ga, gb
+        if a.data.ndim == 2:
+            return g64 @ b64.T, a64.T @ g64
+        return b64 @ g64, np.outer(a64, g64)   # (k,n)@(n,) -> (k,)
 
     return _result(out, (a, b), bwd)
 
@@ -214,11 +210,6 @@ def add_n(parts: Iterable[Tensor]) -> Tensor:
     for p in parts[1:]:
         acc = add(acc, p)
     return acc
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    """a - b, same shapes only."""
-    return add(a, scale(b, -1.0))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -368,48 +359,34 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-stable softmax; a vector is treated as one row.
+    """Stable softmax over the last axis: of each row, or of a vector.
 
     Shifts by the row max, exponentiates and normalizes in float64, so
     rows sum to one within float32 rounding even for magnitudes ~1e4.
     """
     x = a.data.astype(np.float64)
-    one_d = x.ndim == 1
-    rows = x[None, :] if one_d else x
-    if rows.ndim != 2:
-        raise ShapeError(f"softmax_rows expects 1-D/2-D input, got {a.shape}")
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    out_p = p[0] if one_d else p
-    out = _store(out_p, a)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = _store(p, a)
 
     def bwd(g: np.ndarray):
         gp = g.astype(np.float64)
-        grows = gp[None, :] if one_d else gp
-        dot = (grows * p).sum(axis=1, keepdims=True)
-        dx = p * (grows - dot)
-        return (dx[0] if one_d else dx,)
+        return (p * (gp - (gp * p).sum(axis=-1, keepdims=True)),)
 
     return _result(out, (a,), bwd)
 
 
 def log_softmax(a: Tensor) -> Tensor:
-    """Row-stable log softmax (vector treated as one row)."""
+    """Stable log softmax over the last axis."""
     x = a.data.astype(np.float64)
-    one_d = x.ndim == 1
-    rows = x[None, :] if one_d else x
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
+    shifted = x - x.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     p = np.exp(logp)
-    out = _store(logp[0] if one_d else logp, a)
+    out = _store(logp, a)
 
     def bwd(g: np.ndarray):
         gp = g.astype(np.float64)
-        grows = gp[None, :] if one_d else gp
-        dx = grows - p * grows.sum(axis=1, keepdims=True)
-        return (dx[0] if one_d else dx,)
+        return (gp - p * gp.sum(axis=-1, keepdims=True),)
 
     return _result(out, (a,), bwd)
 
@@ -438,10 +415,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (gx - m1 - xhat * m2)
-        axes = tuple(range(g64.ndim - 1))
-        dgain = (g64 * xhat).sum(axis=axes) if axes else g64 * xhat
-        dbias = g64.sum(axis=axes) if axes else g64
-        return dx, dgain, dbias
+        axes = tuple(range(g64.ndim - 1))   # () for a vector: the sum is the identity
+        return dx, (g64 * xhat).sum(axis=axes), g64.sum(axis=axes)
 
     return _result(out, (a, gain, bias), bwd)
 

@@ -266,7 +266,7 @@ def load_record(path: str | Path, sample_rate_hz: float = SAMPLE_RATE_HZ) -> Res
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:   # undecodable bytes, or a NUL in the path
         raise DataError(f"cannot read record {path}: {e}") from e
     lines = raw.splitlines()
     if len(lines) < 3:
@@ -278,9 +278,14 @@ def load_record(path: str | Path, sample_rate_hz: float = SAMPLE_RATE_HZ) -> Res
     subject_id = lines[0][len("subject_id="):]
     label = PainLabel.from_string(lines[1][len("label="):])
     try:
-        samples = np.array([float(s) for s in lines[2:] if s], dtype=np.float32)
+        values = np.array([float(s) for s in lines[2:] if s])
     except ValueError as e:
         raise DataError(f"{path}: bad sample line: {e}") from e
+    with np.errstate(over="ignore"):   # a finite value past the float32 range is reported below
+        samples = values.astype(np.float32)
+    beyond = np.flatnonzero(~np.isfinite(samples) & np.isfinite(values))
+    if beyond.size:
+        raise DataError(f"{path}: sample {beyond[0]} ({float(values[beyond[0]])!r}) is outside the float32 range")
     return RespirationRecord(samples=samples, sample_rate_hz=sample_rate_hz,
                              subject_id=subject_id, label=label)
 
@@ -298,7 +303,7 @@ def read_manifest(path: str | Path) -> list[tuple[str, str]]:
     path = Path(path)
     try:
         raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:   # undecodable bytes, or a NUL in the path
         raise DataError(f"cannot read manifest {path}: {e}") from e
     entries = []
     for ln, line in enumerate(raw.splitlines(), start=1):

@@ -120,33 +120,34 @@ def smoothed_ce_loss(logits: Tensor, target_index: int, smoothing: float, n_clas
 # optimizer
 
 class Adam:
-    """Standard Adam (beta1 0.9, beta2 0.999, eps 1e-8) with bias correction.
+    """Standard Adam with bias correction, at the usual fixed betas and eps.
 
     Parameters are immutable tensors, so a step replaces each entry of the
     param dict with a fresh leaf holding the updated values.
     """
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self):
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
 
     def describe(self) -> str:
-        return f"adam(beta1={self.beta1}, beta2={self.beta2}, eps={self.eps}, weight_decay=0)"
+        return f"adam(beta1={self.BETA1}, beta2={self.BETA2}, eps={self.EPS}, weight_decay=0)"
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         for name, p in params.items():
             if p.grad is None:
                 continue
             g = p.grad
-            m = self.beta1 * self.m.get(name, 0.0) + (1.0 - self.beta1) * g
-            v = self.beta2 * self.v.get(name, 0.0) + (1.0 - self.beta2) * (g * g)
+            m = self.BETA1 * self.m.get(name, 0.0) + (1.0 - self.BETA1) * g
+            v = self.BETA2 * self.v.get(name, 0.0) + (1.0 - self.BETA2) * (g * g)
             self.m[name], self.v[name] = m, v
-            upd = (lr * (m / c1) / (np.sqrt(v / c2) + self.eps)).astype(p.data.dtype)
+            upd = (lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)).astype(p.data.dtype)
             params[name] = nm.parameter(p.data - upd, dtype=p.data.dtype)
 
 
@@ -450,11 +451,19 @@ def load_pipeline(path: str | Path) -> tuple[enc.EncoderConfig, dict[str, Tensor
         raise enc.CheckpointError(f"{path}: checkpoint has {extras['n_classes']} classes, "
                                   f"expected {sig.N_CLASSES}")
     hints = typing.get_type_hints(sig.PreprocessConfig)
+    fields = {}
+    for f in dataclasses.fields(sig.PreprocessConfig):
+        value, kind = extras[f.name], hints[f.name]
+        # an int field needs an int extra, a bool field an int 0 or 1, a float field either number
+        allowed = (int, float) if kind is float else (int,)
+        if type(value) not in allowed or (kind is bool and value not in (0, 1)):
+            raise enc.CheckpointError(f"{path}: invalid preprocessing fields: {f.name}={value!r} "
+                                      f"is no {kind.__name__}")
+        fields[f.name] = kind(value)
     try:
-        prep = sig.PreprocessConfig(**{f.name: hints[f.name](extras[f.name])
-                                       for f in dataclasses.fields(sig.PreprocessConfig)})
+        prep = sig.PreprocessConfig(**fields)
         n_windows = prep.n_windows
-    except (TypeError, ValueError, OverflowError) as e:   # int(inf) overflows
+    except ValueError as e:
         raise enc.CheckpointError(f"{path}: invalid preprocessing fields: {e}") from e
     # reading one row more than the file holds shows whether the config declares
     # more, so a corrupt header (say depth 10**6) costs no more than the file

@@ -31,6 +31,11 @@ def gradcheck(build, shapes: list[tuple[int, ...]], seed: int,
     return max(oracles.rel_err(e, f) for e, f in zip(engine, fd))
 
 
+def sub(a: nm.Tensor, b: nm.Tensor) -> nm.Tensor:
+    """a - b, same shapes only, composed from the engine's add and scale."""
+    return nm.add(a, nm.scale(b, -1.0))
+
+
 def weighted_sum(t: nm.Tensor, seed: int = 0) -> nm.Tensor:
     """Scalar projection with fixed random weights; makes any output a loss."""
     rng = np.random.default_rng(seed)

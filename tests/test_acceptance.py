@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import oracles
 from helpers import enumerate_params
@@ -97,9 +98,8 @@ def test_criterion_01_gradients_match_finite_differences():
         consts = {k: nm.constant(v, dtype=np.float64) for k, v in base.items()}
         z = trn.forward_views(windows, padded, enc_cfg, consts, True,
                               np.random.default_rng(123))
-        bundle = fus.heads_forward(*z, consts)
-        routes = np.stack([bundle.l_add.data, bundle.l_concat.data,
-                           bundle.l_full.data, bundle.l_avg.data]).astype(np.float64)
+        heads = fus._head_logits(fus.VARIANT_SPECS["lf_avg_gate"], *z, consts)
+        routes = np.stack([t.data for t in (*heads, fus._mean(heads))]).astype(np.float64)
 
     def soft_weights(gvec):
         scores = gvec + gamma
@@ -281,20 +281,20 @@ def test_criterion_07_gate_contract():
     g = np.array([0.7, -0.3, 0.4, 0.1], dtype=np.float32)
     gate = nm.parameter(g)
     routes_np = [np.array([1.0, 2.0, 3.0], np.float32) * (i + 1) for i in range(4)]
-    bundle = fus.LogitBundle(*(nm.constant(r) for r in routes_np))
+    routes = [nm.constant(r) for r in routes_np]
 
     # inference: deterministic argmax, the route tensor itself
     for _ in range(100):
-        logits, chosen = fus.gumbel_gate(bundle, gate, training=False, rng=None)
+        logits, chosen = fus.gumbel_gate(routes, gate, training=False, rng=None)
         assert chosen == int(np.argmax(g))
-        assert logits is (bundle.l_add, bundle.l_concat, bundle.l_full, bundle.l_avg)[chosen]
+        assert logits is routes[chosen]
 
     # training: exactly one-hot mixture on every draw
     rng = np.random.default_rng(77)
     counts = np.zeros(4)
     n_draws = 10_000
     for _ in range(n_draws):
-        logits, chosen = fus.gumbel_gate(bundle, gate, training=True, rng=rng)
+        logits, chosen = fus.gumbel_gate(routes, gate, training=True, rng=rng)
         np.testing.assert_array_equal(logits.data, routes_np[chosen])
         counts[chosen] += 1
     freqs = counts / n_draws
@@ -378,6 +378,7 @@ def test_criterion_09_training_determinism(tmp_path):
 # ---------------------------------------------------------------------------
 # 10. desk-scale end-to-end learning
 
+@pytest.mark.slow
 def test_criterion_10_desk_scale_learning():
     started = time.perf_counter()
     train_recs = sig.synth_dataset(30, seed=[20260818, 0], duration_s=10.0)

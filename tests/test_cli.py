@@ -5,7 +5,11 @@ checkpoints. Everything runs in-process through main(argv)."""
 import argparse
 import dataclasses
 import filecmp
+import os
+import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -505,6 +509,44 @@ def test_eval_rejects_record_and_manifest_that_are_not_utf8(workspace, tmp_path,
     manifest.write_bytes(b"rec.txt\ttest\xff\n")
     rc, err = _eval_rc(workspace["run"] / "checkpoint_best.bin", manifest, capsys)
     assert rc == 3 and "cannot read manifest" in err
+
+
+def test_eval_rejects_manifest_path_with_nul(workspace, tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("a\x00b.txt\ttest\n", encoding="utf-8")
+    rc, err = _eval_rc(workspace["run"] / "checkpoint_best.bin", manifest, capsys)
+    assert rc == 3 and "cannot read record" in err and "null byte" in err
+
+
+@pytest.mark.parametrize("field,value", [("filter_enabled", "False"), ("filter_enabled", 2),
+                                         ("filter_enabled", 1.0), ("pad_len", 400.7),
+                                         ("pad_len", "400"), ("window_seconds", "2.0")])
+def test_eval_rejects_preprocessing_extra_of_the_wrong_type(workspace, tmp_path, capsys, field, value):
+    # each value would once have been coerced: bool("False") is True, int(400.7) is 400
+    cfg, arrays, extras = enc.load_checkpoint(workspace["run"] / "checkpoint_best.bin")
+    extras[field] = value
+    bad = tmp_path / "bad.bin"
+    enc.save_checkpoint(bad, cfg, {k: nm.constant(v) for k, v in arrays.items()}, extras)
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "checkpoint error" in err and f"{field}={value!r}" in err
+
+
+def test_utf8_config_under_an_ascii_locale(workspace, tmp_path):
+    # the config and its run-directory copy are UTF-8 whatever the locale; an ASCII
+    # file-system encoding then cannot name the non-ASCII manifest, a data error
+    manifest = tmp_path / "d\u00e4t\u00e4" / "manifest.tsv"
+    shutil.copytree(workspace["data"], manifest.parent)
+    cfg = tmp_path / "micro.ini"
+    cfg.write_text(MICRO_CONFIG.replace("[data]\n", f"[data]\nmanifest = {manifest}\n"), encoding="utf-8")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "resppain.cli", "train", "--config", str(cfg),
+                           "--out", str(tmp_path / "run")], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert b"cannot read manifest" in proc.stderr
+    used = (tmp_path / "run" / "config_used.ini").read_text(encoding="utf-8")
+    assert f"manifest = {manifest}\n" in used
 
 
 # ---------------------------------------------------------------------------

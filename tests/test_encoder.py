@@ -347,7 +347,7 @@ def test_latent_query_is_recomputed_after_a_step_replaces_one_of_its_tensors(nam
     trn.Adam().step(params, lr=0.01)   # replaces this tensor only
     with nm.no_grad():
         after = enc.latent_query(params)
-    fresh = enc._score_query(params["latents"], params, "block0.cross0.attn")
+    fresh = enc._score_query(*enc._query_tensors(params["latents"], params, "block0.cross0.attn"))
     np.testing.assert_array_equal(after.data, fresh.data)
     assert not np.array_equal(after.data, before.data)
 
@@ -361,7 +361,7 @@ def test_latent_query_with_live_tape_always_records(monkeypatch):
     assert len(calls) == 3
     assert queries[0] is not queries[1] and all(q.requires_grad for q in queries)
     grads = nm.backward(weighted_sum(queries[1], seed=3))
-    assert all(params[name] in grads for name in enc._QUERY_KEYS)
+    assert all(t in grads for t in enc._query_tensors(params["latents"], params, "block0.cross0.attn"))
 
 
 def test_latent_query_cache_pairs_each_key_with_its_own_query_across_threads():
@@ -369,7 +369,8 @@ def test_latent_query_cache_pairs_each_key_with_its_own_query_across_threads():
     # set's key would show as a wrong value
     sets = [_params(TINY, seed=s) for s in (23, 24)]
     with nm.no_grad():
-        want = [enc._score_query(p["latents"], p, "block0.cross0.attn").data for p in sets]
+        want = [enc._score_query(*enc._query_tensors(p["latents"], p, "block0.cross0.attn")).data
+                for p in sets]
     wrong, finished = [], []
 
     def worker(offset: int):

@@ -14,6 +14,12 @@ def _vec(rng, n):
     return nm.constant(rng.normal(size=n).astype(np.float32))
 
 
+def _routes(z_add, z_concat, z_full, params):
+    """The gate's four routes: the lf_avg_gate heads' logits, then their mean."""
+    heads = fus._head_logits(fus.VARIANT_SPECS["lf_avg_gate"], z_add, z_concat, z_full, params)
+    return [*heads, fus._mean(heads)]
+
+
 def _fusion_params(variant, n_windows=3, embed_dim=8, n_classes=3, seed=0):
     return fus.init_fusion_params(variant, n_windows, embed_dim, n_classes,
                                   np.random.default_rng(seed))
@@ -53,21 +59,21 @@ def test_fuse_windows_validation():
 # ---------------------------------------------------------------------------
 # heads
 
-def test_heads_forward_l_avg_is_exact_mean():
+def test_avg_route_is_exact_mean():
     rng = np.random.default_rng(1)
     params = _fusion_params("lf_avg_gate")
-    bundle = fus.heads_forward(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
-    want = (bundle.l_add.data.astype(np.float64) + bundle.l_concat.data
-            + bundle.l_full.data) / 3.0
-    np.testing.assert_allclose(bundle.l_avg.data, want, atol=1e-6)
-    assert [t.shape for t in bundle.routes()] == [(3,)] * 4
+    routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
+    want = (routes[0].data.astype(np.float64) + routes[1].data
+            + routes[2].data) / 3.0
+    np.testing.assert_allclose(routes[3].data, want, atol=1e-6)
+    assert [t.shape for t in routes] == [(3,)] * 4
 
 
 def test_head_width_mismatch_names_the_problem():
     rng = np.random.default_rng(2)
     params = _fusion_params("lf_avg_gate", n_windows=3)
     with pytest.raises(nm.ShapeError, match="window count mismatch"):
-        fus.heads_forward(_vec(rng, 8), _vec(rng, 16), _vec(rng, 8), params)
+        _routes(_vec(rng, 8), _vec(rng, 16), _vec(rng, 8), params)
 
 
 def test_head_is_affine():
@@ -87,15 +93,15 @@ def test_gate_inference_returns_selected_route_tensor_exactly():
     params = _fusion_params("lf_avg_gate", seed=5)
     g = np.array([0.1, 1.5, -0.3, 0.9], dtype=np.float32)
     params["gate.g"] = nm.parameter(g)
-    bundle = fus.heads_forward(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
-    logits, chosen = fus.gumbel_gate(bundle, params["gate.g"], training=False, rng=None)
+    routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
+    logits, chosen = fus.gumbel_gate(routes, params["gate.g"], training=False, rng=None)
     assert chosen == 1
-    assert logits is bundle.l_concat   # the route tensor itself, bit-for-bit
+    assert logits is routes[1]   # the route tensor itself, bit-for-bit
     # classify reports that argmax route at inference; gateless variants report none
     z_add, z_concat, z_full = _vec(rng, 8), _vec(rng, 24), _vec(rng, 8)
     logits, route = fus.classify(z_add, z_concat, z_full, params, "lf_avg_gate", False, None)
     assert route == 1
-    assert logits.data.tobytes() == fus.heads_forward(z_add, z_concat, z_full, params).l_concat.data.tobytes()
+    assert logits.data.tobytes() == _routes(z_add, z_concat, z_full, params)[1].data.tobytes()
     assert fus.classify(z_add, z_concat, z_full, _fusion_params("lf_avg"), "lf_avg",
                         False, None)[1] is None
 
@@ -104,9 +110,9 @@ def test_gate_inference_consumes_no_rng():
     rng = np.random.default_rng(6)
     state = rng.bit_generator.state["state"]["state"]
     params = _fusion_params("lf_avg_gate", seed=7)
-    bundle = fus.heads_forward(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
+    routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
     before = np.random.default_rng(8)
-    fus.gumbel_gate(bundle, params["gate.g"], training=False, rng=before)
+    fus.gumbel_gate(routes, params["gate.g"], training=False, rng=before)
     assert before.bit_generator.state["state"]["state"] == \
         np.random.default_rng(8).bit_generator.state["state"]["state"]
     assert rng.bit_generator.state["state"]["state"] != state   # sanity: _vec consumed
@@ -115,15 +121,15 @@ def test_gate_inference_consumes_no_rng():
 def test_gate_training_emits_hard_one_hot_mixture():
     rng = np.random.default_rng(9)
     params = _fusion_params("lf_avg_gate", seed=10)
-    bundle = fus.heads_forward(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
-    logits, chosen = fus.gumbel_gate(bundle, params["gate.g"], training=True,
+    routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
+    logits, chosen = fus.gumbel_gate(routes, params["gate.g"], training=True,
                                      rng=np.random.default_rng(11))
     assert 0 <= chosen < 4
-    np.testing.assert_allclose(logits.data, bundle.routes()[chosen].data, atol=1e-6)
+    np.testing.assert_allclose(logits.data, routes[chosen].data, atol=1e-6)
     with pytest.raises(ValueError):
-        fus.gumbel_gate(bundle, params["gate.g"], training=True, rng=None)
+        fus.gumbel_gate(routes, params["gate.g"], training=True, rng=None)
     with pytest.raises(nm.ShapeError):
-        fus.gumbel_gate(bundle, nm.parameter(np.zeros(3, np.float32)), True,
+        fus.gumbel_gate(routes, nm.parameter(np.zeros(3, np.float32)), True,
                         np.random.default_rng(0))
 
 
@@ -156,14 +162,14 @@ def test_gate_training_selection_through_full_path():
     params = _fusion_params("lf_avg_gate", seed=15)
     g = np.array([1.0, 0.0, 0.0, -1.0], dtype=np.float32)
     params["gate.g"] = nm.parameter(g)
-    bundle = fus.heads_forward(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
+    routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
     want = oracles.softmax_rows_f64(g)[0]
     n = 4000
     counts = np.zeros(4)
     gate_rng = np.random.default_rng(16)
     for _ in range(n):
         with nm.no_grad():
-            _, chosen = fus.gumbel_gate(bundle, params["gate.g"], True, gate_rng)
+            _, chosen = fus.gumbel_gate(routes, params["gate.g"], True, gate_rng)
         counts[chosen] += 1
     np.testing.assert_allclose(counts / n, want, atol=0.025)
 
@@ -174,8 +180,8 @@ def test_gate_gradient_flows_to_scores():
         rng = np.random.default_rng(seed)
         params = _fusion_params("lf_avg_gate", seed=17)
         params["gate.g"] = nm.parameter(np.asarray(g_values, dtype=np.float32))
-        bundle = fus.heads_forward(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
-        logits, _ = fus.gumbel_gate(bundle, params["gate.g"], True, np.random.default_rng(18))
+        routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
+        logits, _ = fus.gumbel_gate(routes, params["gate.g"], True, np.random.default_rng(18))
         loss = nm.scale(nm.sum_all(nm.mul(logits, logits)), 0.5)
         return nm.backward(loss)[params["gate.g"]]
 

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import erf
 
 import oracles
-from helpers import gradcheck, weighted_sum
+from helpers import gradcheck, sub, weighted_sum
 from resppain import numerics as nm
 
 
@@ -36,13 +36,9 @@ def test_matmul_vector_forms():
     rng = np.random.default_rng(3)
     m = rng.normal(size=(4, 6)).astype(np.float32)
     v = rng.normal(size=4).astype(np.float32)
-    u = rng.normal(size=6).astype(np.float32)
     got_vm = nm.matmul(nm.constant(v), nm.constant(m)).data
-    got_mv = nm.matmul(nm.constant(m), nm.constant(u)).data
     np.testing.assert_array_equal(
         got_vm, oracles.matmul_triple_loop(v[None, :], m)[0])
-    np.testing.assert_array_equal(
-        got_mv, oracles.matmul_triple_loop(m, u[:, None])[:, 0])
 
 
 def test_matmul_rejects_bad_shapes():
@@ -52,6 +48,8 @@ def test_matmul_rejects_bad_shapes():
         nm.matmul(a, b)
     with pytest.raises(nm.ShapeError):
         nm.matmul(a, nm.constant(np.zeros((2, 2, 2))))
+    with pytest.raises(nm.ShapeError):   # (m,k)@(k,): the right operand must be a matrix
+        nm.matmul(a, nm.constant(np.zeros(3)))
 
 
 def test_mixed_dtypes_rejected():
@@ -227,8 +225,6 @@ def test_grad_matmul():
 def test_grad_matmul_vector_forms():
     err = gradcheck(lambda p: weighted_sum(nm.matmul(p[0], p[1])), [(5,), (5, 3)], seed=11)
     assert err < TOL
-    err = gradcheck(lambda p: weighted_sum(nm.matmul(p[0], p[1])), [(4, 5), (5,)], seed=12)
-    assert err < TOL
 
 
 def test_grad_add_bias_and_elementwise():
@@ -236,7 +232,7 @@ def test_grad_add_bias_and_elementwise():
     assert err < TOL
     err = gradcheck(lambda p: weighted_sum(nm.mul(p[0], p[1])), [(4, 3), (4, 3)], seed=14)
     assert err < TOL
-    err = gradcheck(lambda p: weighted_sum(nm.sub(nm.scale(p[0], 1.7), p[1])),
+    err = gradcheck(lambda p: weighted_sum(sub(nm.scale(p[0], 1.7), p[1])),
                     [(2, 5), (2, 5)], seed=15)
     assert err < TOL
 
@@ -437,7 +433,7 @@ def _every_op_output():
     g, b = nm.parameter(np.ones(4)), nm.parameter(np.zeros(4))
     return {
         "matmul": nm.matmul(m, nm.transpose(m)), "add": nm.add(m, m), "bias": nm.add(m, v),
-        "add_n": nm.add_n([v, v, v]), "sub": nm.sub(v, v), "mul": nm.mul(m, m),
+        "add_n": nm.add_n([v, v, v]), "sub": sub(v, v), "mul": nm.mul(m, m),
         "scale": nm.scale(m, 0.3), "add_const": nm.add_const(m, 1.5),
         "transpose": nm.transpose(m), "transpose_row": nm.transpose(row),
         "concat_vec": nm.concat_vec([v, v]), "stack_rows": nm.stack_rows([v, v]),

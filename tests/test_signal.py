@@ -1,8 +1,13 @@
 """Preprocessing contracts: filter response, padding and windowing
 arithmetic, synthetic generator statistics, and text round trips."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import butter, sosfiltfilt
 
 from resppain import signal as sig
@@ -301,3 +306,76 @@ def test_undecodable_record_and_manifest_are_data_errors(tmp_path):
     man.write_bytes(b"rec.txt\ttrain\n\xfe\n")
     with pytest.raises(sig.DataError, match="cannot read manifest"):
         sig.read_manifest(man)
+
+
+def test_manifest_path_with_nul_is_a_data_error(tmp_path):
+    man = tmp_path / "manifest.tsv"
+    man.write_text("a\x00b.txt\ttrain\n", encoding="utf-8")
+    with pytest.raises(sig.DataError, match="cannot read record.*null byte"):
+        sig.load_dataset(man)
+
+
+@pytest.mark.parametrize("value", ["1e39", "-1e39", "3.5e38"])
+def test_sample_beyond_float32_range_is_named(tmp_path, value):
+    rec = tmp_path / "rec.txt"
+    rec.write_text(f"subject_id=s\nlabel=NoPain\n1.0\n{value}\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's overflow warning would surface as an error
+        with pytest.raises(sig.DataError, match=re.escape(f"sample 1 ({float(value)!r})")):
+            sig.load_record(rec)
+
+
+def test_float32_max_itself_loads(tmp_path):
+    rec = tmp_path / "rec.txt"
+    big = float(np.finfo(np.float32).max)
+    rec.write_text(f"subject_id=s\nlabel=NoPain\n{big!r}\n{-big!r}\n", encoding="utf-8")
+    np.testing.assert_array_equal(sig.load_record(rec).samples, [big, -big])
+
+
+# random record and manifest bytes: load_dataset loads them or raises DataError, never
+# another exception or a warning; junk bytes bring invalid UTF-8, NUL and stray separators
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b"])
+_LABEL = st.sampled_from([*(m.value for m in sig.PainLabel), "Agony", ""])
+_SAMPLE = st.one_of(st.floats(width=32).map(repr),
+                    st.sampled_from(["nan", "-inf", "inf", "1e39", "-1e39", "1e-50", "1" * 400, "1_0", "x"]))
+_NAME = st.sampled_from(["r.txt", "r.txt", "missing.txt", "a\x00b.txt", "", ".", "..", "m.tsv", "d\u00e4t\u00e4"])
+_SPLIT = st.sampled_from([*sig.SPLITS, "holdout"])
+_JUNK = st.sampled_from([b"\x00", b"\xff", b"\xc3", b"\x85", b"\xc2\x85", b"\xed\xa0\x80", b"\t", b"\n"])
+
+
+@st.composite
+def _bytes_with_junk(draw, text):
+    raw = bytearray(text.encode("utf-8"))
+    for at, junk in draw(st.lists(st.tuples(st.integers(0, len(raw)), _JUNK), max_size=2)):
+        raw[at:at] = junk
+    return bytes(raw)
+
+
+@st.composite
+def _record_bytes(draw):
+    br = draw(_BREAKS)
+    lines = [f"subject_id={draw(st.text(max_size=6))}", f"label={draw(_LABEL)}",
+             *draw(st.lists(_SAMPLE, max_size=6))]
+    return draw(_bytes_with_junk(br.join(lines) + draw(st.sampled_from(["", br]))))
+
+
+@st.composite
+def _manifest_bytes(draw):
+    rows = draw(st.lists(st.tuples(_NAME, _SPLIT), max_size=3))
+    br = draw(_BREAKS)
+    return draw(_bytes_with_junk("".join(f"{name}\t{split}{br}" for name, split in rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_bytes(), _manifest_bytes())
+def test_random_record_and_manifest_bytes_raise_only_data_error(tmp_path_factory, record, manifest):
+    root = tmp_path_factory.getbasetemp() / "fuzz_dataset"
+    root.mkdir(exist_ok=True)
+    (root / "r.txt").write_bytes(record)
+    (root / "m.tsv").write_bytes(manifest)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sig.load_dataset(root / "m.tsv")
+        except sig.DataError:
+            pass

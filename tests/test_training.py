@@ -394,6 +394,16 @@ def test_load_pipeline_rejects_non_finite_pad_len(tmp_path, value):
         trn.load_pipeline(tmp_path / "bad.bin")
 
 
+def test_load_pipeline_reads_an_integral_float_field_stored_as_int(tmp_path):
+    params = trn.init_pipeline_params(ENC, "lf_avg_gate", PREP.n_windows, sig.N_CLASSES,
+                                      np.random.default_rng(0))
+    extras = {"variant": "lf_avg_gate", "n_classes": sig.N_CLASSES, **dataclasses.asdict(PREP)}
+    extras["sample_rate_hz"] = int(PREP.sample_rate_hz)   # stored with the int tag
+    enc.save_checkpoint(tmp_path / "int.bin", ENC, params, extras)
+    _, _, prep, _ = trn.load_pipeline(tmp_path / "int.bin")
+    assert prep == PREP and type(prep.sample_rate_hz) is float
+
+
 @pytest.fixture(scope="module")
 def micro_checkpoint(tmp_path_factory) -> bytes:
     cfg = enc.EncoderConfig(n_latents=2, model_dim=2, fourier_bands=1, ffn_expansion=1, out_dim=2)
