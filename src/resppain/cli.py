@@ -33,6 +33,7 @@ import configparser
 import dataclasses
 import logging
 import math
+import os
 import sys
 import typing
 from pathlib import Path
@@ -190,6 +191,8 @@ def build_settings(config_path: str | None, args: argparse.Namespace) -> RunSett
         for key, value in values.items():
             owner, field, _ = _SCHEMA[section][key]
             kw[owner][field] = value
+    if "manifest" in kw[""]:   # a path read from UTF-8 text opens as those bytes on any locale
+        kw[""]["manifest"] = os.fsdecode(kw[""]["manifest"].encode("utf-8"))
     for flag, (owner, field) in _FLAG_OVERRIDES.items():
         if getattr(args, flag, None) is not None:
             kw[owner][field] = getattr(args, flag)
@@ -217,6 +220,14 @@ def serialize_settings(s: RunSettings) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _make_out_dir(path: str) -> Path:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:   # a file where the directory must be
+        raise ConfigError(f"--out {path} cannot be a directory: {e.strerror}") from e
+    return Path(path)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.per_class < 1:
         raise ConfigError(f"--per-class must be >= 1, got {args.per_class}")
@@ -225,8 +236,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if min(args.duration_s, args.sample_rate_hz) <= 0:
         raise ConfigError(f"--duration-s and --sample-rate-hz must be > 0, "
                           f"got {args.duration_s} and {args.sample_rate_hz}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(args.out)
     counts = {"train": args.per_class, "val": args.val_per_class, "test": args.test_per_class}
     entries = []
     for split_idx, (split, per_class) in enumerate(counts.items()):
@@ -249,9 +259,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     settings = build_settings(args.config, args)
     if settings.manifest is None:
         raise ConfigError("no dataset given: pass --data or set data.manifest in the config")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_used.ini").write_text(serialize_settings(settings), encoding="utf-8")
+    out = _make_out_dir(args.out)
+    (out / "config_used.ini").write_text(serialize_settings(settings), encoding="utf-8", errors="surrogateescape")
     splits = sig.load_dataset(settings.manifest, settings.prep.sample_rate_hz)
     if not splits["train"] or not splits["val"]:
         raise sig.DataError(f"manifest {settings.manifest} needs non-empty train and val splits "

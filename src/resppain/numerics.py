@@ -5,7 +5,7 @@ here: a small define-by-run tape over numpy arrays.  Tensors store values
 in float32 by default (float64 available for numerical checks) and are
 immutable after construction; each op returns a new Tensor and records a
 backward closure, so the tape for a forward pass is simply the set of
-result nodes in creation order.
+result nodes in creation order; ``backward`` releases it and fills ``.grad``.
 
 Precision policy:
 
@@ -464,18 +464,16 @@ def straight_through(a: Tensor, forward_value: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward
 
-def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
-    """Run reverse-mode accumulation from a scalar loss.
+def backward(loss: Tensor) -> None:
+    """Accumulate a scalar loss's gradient into .grad of each parameter reached.
 
-    Returns {leaf tensor: gradient} for every requires_grad leaf reached
-    and accumulates the same gradients into leaf.grad.  The tape for this
-    forward pass is consumed: a second call without a fresh forward pass
-    raises TapeError.
+    Backward releases the tape: a node whose closure has run drops the
+    closure and its parents, so a loss the caller still holds keeps no
+    activation alive.  Such a node is consumed, and backward through it
+    again, without a fresh forward pass, raises TapeError.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if loss._consumed:
-        raise TapeError("stale tape: backward was already run for this forward pass")
     if loss._bwd is None and not loss.requires_grad:
         raise TapeError("loss is not connected to any parameter")
 
@@ -487,35 +485,26 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
         if t._id in seen:
             continue
         seen[t._id] = t
-        if t._parents and t._bwd is None and t._consumed:
-            raise TapeError("stale tape: node already consumed by a previous backward")
+        if t._consumed:
+            raise TapeError("stale tape: backward was already run through this node")
         stack.extend(t._parents)
 
     grads: dict[int, np.ndarray] = {loss._id: np.asarray(1.0, dtype=loss.data.dtype)}
-    leaf_grads: dict[Tensor, np.ndarray] = {}
     for t in sorted(seen.values(), key=lambda n: n._id, reverse=True):
-        g = grads.pop(t._id, None)
-        if g is None:
-            continue
+        g = grads.pop(t._id)   # seeded for the loss, sent by a consumer for every other node
         if t._bwd is None:
             if t.requires_grad:
-                g_stored = np.asarray(g, dtype=t.data.dtype)
-                leaf_grads[t] = g_stored
-                t.grad = g_stored.copy() if t.grad is None else t.grad + g_stored
+                g = np.asarray(g, dtype=t.data.dtype)
+                t.grad = g.copy() if t.grad is None else t.grad + g
             continue
         parent_grads = t._bwd(np.asarray(g, dtype=t.data.dtype))
         for p, pg in zip(t._parents, parent_grads):
-            if pg is None:
-                continue
             pg = np.asarray(pg, dtype=p.data.dtype)
             if p._id in grads:
                 grads[p._id] = grads[p._id] + pg
             else:
                 grads[p._id] = pg
-        t._bwd = None
-        t._consumed = True
-    loss._consumed = True
-    return leaf_grads
+        t._bwd, t._parents, t._consumed = None, (), True
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

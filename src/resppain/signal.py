@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -323,10 +324,10 @@ def read_manifest(path: str | Path) -> list[tuple[str, str]]:
 
 def load_dataset(manifest_path: str | Path,
                  sample_rate_hz: float = SAMPLE_RATE_HZ) -> dict[str, list[RespirationRecord]]:
-    """Load every record listed in a manifest, grouped by split."""
+    """Load every record listed in a manifest, grouped by split; record paths name their UTF-8 bytes."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     out: dict[str, list[RespirationRecord]] = {s: [] for s in SPLITS}
     for rel, split in read_manifest(manifest_path):
-        out[split].append(load_record(root / rel, sample_rate_hz))
+        out[split].append(load_record(root / os.fsdecode(rel.encode("utf-8")), sample_rate_hz))
     return out

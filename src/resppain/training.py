@@ -283,16 +283,19 @@ def evaluate(records: list[sig.RespirationRecord], enc_cfg: enc.EncoderConfig,
 @dataclass
 class TrainResult:
     params: dict[str, Tensor]
-    enc_cfg: enc.EncoderConfig
-    prep: sig.PreprocessConfig
     variant: str
     metrics_lines: list[str]
     val_reports: list[MetricsReport]
     train_loss_curve: list[float]
     best_epoch: int
-    best_val_macro_acc: float
-    final_report: MetricsReport
-    best_params: dict[str, Tensor]
+
+    @property
+    def final_report(self) -> MetricsReport:
+        return self.val_reports[-1]
+
+    @property
+    def best_val_macro_acc(self) -> float:
+        return self.val_reports[self.best_epoch].macro_accuracy
 
     @property
     def metrics_text(self) -> str:
@@ -357,7 +360,7 @@ def train(train_records: list[sig.RespirationRecord],
     val_reports: list[MetricsReport] = []
     loss_curve: list[float] = []
     best_epoch, best_acc = -1, -1.0
-    best_params: dict[str, Tensor] = dict(params)
+    best_params: dict[str, Tensor] = {}
     n = len(train_records)
 
     for epoch in range(train_cfg.epochs):
@@ -405,11 +408,8 @@ def train(train_records: list[sig.RespirationRecord],
             save_pipeline(out_path / f"checkpoint_epoch{epoch + 1:03d}.bin",
                           enc_cfg, params, prep, variant, n_classes)
 
-    result = TrainResult(params=params, enc_cfg=enc_cfg, prep=prep, variant=variant,
-                         metrics_lines=metrics_lines, val_reports=val_reports,
-                         train_loss_curve=loss_curve, best_epoch=best_epoch,
-                         best_val_macro_acc=best_acc, final_report=val_reports[-1],
-                         best_params=best_params)
+    result = TrainResult(params=params, variant=variant, metrics_lines=metrics_lines,
+                         val_reports=val_reports, train_loss_curve=loss_curve, best_epoch=best_epoch)
     logger.info("training done: best val macro acc %.4f at epoch %d; final %.4f",
                 best_acc, best_epoch, result.final_report.macro_accuracy)
     if out_path is not None:

@@ -532,21 +532,57 @@ def test_eval_rejects_preprocessing_extra_of_the_wrong_type(workspace, tmp_path,
     assert "checkpoint error" in err and f"{field}={value!r}" in err
 
 
+_ASCII_LOCALE = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+                 "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+
 def test_utf8_config_under_an_ascii_locale(workspace, tmp_path):
-    # the config and its run-directory copy are UTF-8 whatever the locale; an ASCII
-    # file-system encoding then cannot name the non-ASCII manifest, a data error
+    # the config and its run-directory copy are UTF-8 whatever the locale, and
+    # the non-ASCII manifest path in it opens as its UTF-8 bytes
     manifest = tmp_path / "d\u00e4t\u00e4" / "manifest.tsv"
     shutil.copytree(workspace["data"], manifest.parent)
     cfg = tmp_path / "micro.ini"
     cfg.write_text(MICRO_CONFIG.replace("[data]\n", f"[data]\nmanifest = {manifest}\n"), encoding="utf-8")
-    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
-           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "resppain.cli", "train", "--config", str(cfg),
-                           "--out", str(tmp_path / "run")], env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert b"cannot read manifest" in proc.stderr
+                           "--out", str(tmp_path / "run")], env=_ASCII_LOCALE, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "metrics.tsv").is_file()
     used = (tmp_path / "run" / "config_used.ini").read_text(encoding="utf-8")
     assert f"manifest = {manifest}\n" in used
+
+
+def test_utf8_record_paths_under_an_ascii_locale(workspace, tmp_path, capsys):
+    # record paths read from a UTF-8 manifest open as their UTF-8 bytes; the
+    # report equals the one for the same records under ASCII names
+    data = tmp_path / "d\u00e4t\u00e4"
+    shutil.copytree(workspace["data"], data)
+    rows = [line.split("\t") for line in (data / "manifest.tsv").read_text().splitlines()]
+    for rel, _ in rows:
+        (data / rel).rename(data / f"\u00fc{rel}")
+    (data / "manifest.tsv").write_text("".join(f"\u00fc{rel}\t{split}\n" for rel, split in rows), encoding="utf-8")
+    ckpt = str(workspace["run"] / "checkpoint_final.bin")
+    assert cli.main(["eval", "--checkpoint", ckpt, "--data", str(workspace["data"] / "manifest.tsv")]) == 0
+    proc = subprocess.run([sys.executable, "-m", "resppain.cli", "eval", "--checkpoint", ckpt,
+                           "--data", str(data / "manifest.tsv")],
+                          env=_ASCII_LOCALE, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["train", "synth"])
+@pytest.mark.parametrize("under_a_file", [False, True])
+def test_out_that_cannot_be_a_directory_is_a_config_error(workspace, tmp_path, capsys, command, under_a_file):
+    # an existing file as --out, or a path under a file: exit 2 naming the path
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = str(blocker / "run" if under_a_file else blocker)
+    argv = {"train": ["train", "--config", str(workspace["config"]), "--data",
+                      str(workspace["data"] / "manifest.tsv"), "--out", out],
+            "synth": ["synth", "--per-class", "1", "--out", out]}[command]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and out in err
+    assert blocker.read_text() == "not a directory\n"
 
 
 # ---------------------------------------------------------------------------

@@ -194,8 +194,8 @@ def test_attention_gradcheck_token_width_below_model_width():
     rng = np.random.default_rng(32)
     inputs = [nm.parameter(rng.normal(0.0, 0.5, s), dtype=np.float64) for s in shapes]
     bias = nm.parameter(wk_b.data, dtype=np.float64)
-    grads = nm.backward(build(inputs, bias))
-    assert np.abs(grads[bias]).max() < 1e-12 * np.abs(grads[inputs[names.index("a.wk.w") + 2]]).max()
+    nm.backward(build(inputs, bias))
+    assert np.abs(bias.grad).max() < 1e-12 * np.abs(inputs[names.index("a.wk.w") + 2].grad).max()
 
 
 def test_attention_single_token_ignores_queries():
@@ -360,8 +360,8 @@ def test_latent_query_with_live_tape_always_records(monkeypatch):
     queries = [enc.latent_query(params) for _ in range(2)]
     assert len(calls) == 3
     assert queries[0] is not queries[1] and all(q.requires_grad for q in queries)
-    grads = nm.backward(weighted_sum(queries[1], seed=3))
-    assert all(t in grads for t in enc._query_tensors(params["latents"], params, "block0.cross0.attn"))
+    nm.backward(weighted_sum(queries[1], seed=3))
+    assert all(t.grad is not None for t in enc._query_tensors(params["latents"], params, "block0.cross0.attn"))
 
 
 def test_latent_query_cache_pairs_each_key_with_its_own_query_across_threads():
@@ -398,9 +398,10 @@ def test_latent_query_cache_pairs_each_key_with_its_own_query_across_threads():
 def test_encode_gradients_reach_every_parameter():
     params = _params(TINY, seed=17)
     x = np.random.default_rng(18).normal(size=20).astype(np.float32)
-    grads = nm.backward(weighted_sum(enc.encode(x, TINY, params), seed=1))
-    assert set(grads) == set(params.values())
-    nonzero = sum(1 for g in grads.values() if np.any(g != 0))
+    nm.backward(weighted_sum(enc.encode(x, TINY, params), seed=1))
+    grads = [p.grad for p in params.values()]
+    assert all(g is not None for g in grads)
+    nonzero = sum(1 for g in grads if np.any(g != 0))
     assert nonzero >= len(grads) - 1   # everything but possibly a dead bias
 
 
@@ -429,9 +430,9 @@ def test_encode_gradcheck_tiny():
     rng = np.random.default_rng(37)
     tensors = [nm.parameter(rng.normal(0.0, 0.5, s), dtype=np.float64) for s in shapes]
     bias = nm.parameter(fixed.data, dtype=np.float64)
-    grads = nm.backward(build(tensors, bias))
+    nm.backward(build(tensors, bias))
     wk_w = tensors[names.index("block0.cross0.attn.wk.w")]
-    assert np.abs(grads[bias]).max() < 1e-12 * np.abs(grads[wk_w]).max()
+    assert np.abs(bias.grad).max() < 1e-12 * np.abs(wk_w.grad).max()
 
 
 def test_encode_gradcheck_token_width_below_model_width_with_self_layer():

@@ -183,7 +183,8 @@ def test_gate_gradient_flows_to_scores():
         routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
         logits, _ = fus.gumbel_gate(routes, params["gate.g"], True, np.random.default_rng(18))
         loss = nm.scale(nm.sum_all(nm.mul(logits, logits)), 0.5)
-        return nm.backward(loss)[params["gate.g"]]
+        nm.backward(loss)
+        return params["gate.g"].grad
 
     grad = gate_grad([0.2, -0.1, 0.4, 0.0], seed=19)
     assert grad.shape == (4,)
@@ -278,8 +279,8 @@ def test_classify_lf_coef_blend_at_zero_alpha_is_midpoint():
     np.testing.assert_allclose(logits.data, want.data, atol=1e-6)
     # alpha gets a gradient
     loss = nm.sum_all(nm.mul(logits, logits))
-    grads = nm.backward(loss)
-    assert params["coef.alpha"] in grads
+    nm.backward(loss)
+    assert params["coef.alpha"].grad is not None
 
 
 def test_classify_deterministic_at_inference():
