@@ -28,7 +28,7 @@ ratio below 1 is by design, not a missed term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import fusion as fus
 from .encoder import EncoderConfig
@@ -54,19 +54,16 @@ REFERENCE_COSTS: dict[tuple[int, int, int], tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class CostReport:
-    config: EncoderConfig
-    input_length: int
-    n_windows: int
-    params_total: int
     params_by_component: dict[str, int]
-    flops_forward: int
-    flops_by_component: dict[str, int]
+    flops_by_component: dict[str, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.params_total != sum(self.params_by_component.values()):
-            raise ValueError("params_by_component does not sum to params_total")
-        if self.flops_forward != sum(self.flops_by_component.values()):
-            raise ValueError("flops_by_component does not sum to flops_forward")
+    @property
+    def params_total(self) -> int:
+        return sum(self.params_by_component.values())
+
+    @property
+    def flops_forward(self) -> int:
+        return sum(self.flops_by_component.values())
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +105,7 @@ def _head_params(variant: str, n_windows: int, embed_dim: int, n_classes: int) -
 
 
 def count_params(cfg: EncoderConfig, n_windows: int, n_classes: int = N_CLASSES,
-                 variant: str = "lf_avg_gate") -> CostReport:
+                 variant: str = fus.DEFAULT_VARIANT) -> CostReport:
     """Closed-form parameter count; must equal model enumeration exactly."""
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
@@ -121,10 +118,7 @@ def count_params(cfg: EncoderConfig, n_windows: int, n_classes: int = N_CLASSES,
         "projection": _linear_params(cfg.model_dim, cfg.out_dim),
     }
     by_component.update(_head_params(variant, n_windows, cfg.out_dim, n_classes))
-    return CostReport(config=cfg, input_length=0, n_windows=n_windows,
-                      params_total=sum(by_component.values()),
-                      params_by_component=by_component,
-                      flops_forward=0, flops_by_component={"none": 0})
+    return CostReport(by_component)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +195,7 @@ def _head_flops(variant: str, n_windows: int, embed_dim: int, n_classes: int) ->
 
 
 def count_flops(cfg: EncoderConfig, input_length: int, n_windows: int,
-                n_classes: int = N_CLASSES, variant: str = "lf_avg_gate") -> CostReport:
+                n_classes: int = N_CLASSES, variant: str = fus.DEFAULT_VARIANT) -> CostReport:
     """Forward FLOPs for the whole pipeline on one input signal.
 
     windows term: n_windows fixed encoder invocations whose token work
@@ -222,9 +216,4 @@ def count_flops(cfg: EncoderConfig, input_length: int, n_windows: int,
         "heads": heads + fuse_adds,
         "gate": gate,
     }
-    params = count_params(cfg, n_windows, n_classes, variant)
-    return CostReport(config=cfg, input_length=input_length, n_windows=n_windows,
-                      params_total=params.params_total,
-                      params_by_component=params.params_by_component,
-                      flops_forward=sum(by_component.values()),
-                      flops_by_component=by_component)
+    return CostReport(count_params(cfg, n_windows, n_classes, variant).params_by_component, by_component)

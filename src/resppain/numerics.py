@@ -3,9 +3,9 @@
 Everything differentiable in this package goes through the ops defined
 here: a small define-by-run tape over numpy arrays.  Tensors store values
 in float32 by default (float64 available for numerical checks) and are
-immutable after construction; each op returns a new Tensor and records a
-backward closure, so the tape for a forward pass is simply the set of
-result nodes in creation order; ``backward`` releases it and fills ``.grad``.
+immutable after construction; each op records a backward closure, so the
+tape is the set of result nodes in creation order.  ``backward`` visits
+only the nodes that need a gradient, releases them and fills ``.grad``.
 
 Precision policy:
 
@@ -410,11 +410,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g: np.ndarray):
         g64 = g.astype(np.float64)
-        gx = g64 * gain.data.astype(np.float64)
-        # dx = inv * (gx - mean(gx) - xhat * mean(gx * xhat))
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (gx - m1 - xhat * m2)
+        dx = None   # a constant input (the tokens under ln_kv) needs none
+        if a.requires_grad:
+            gx = g64 * gain.data.astype(np.float64)
+            # dx = inv * (gx - mean(gx) - xhat * mean(gx * xhat))
+            m1 = gx.mean(axis=-1, keepdims=True)
+            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+            dx = inv * (gx - m1 - xhat * m2)
         axes = tuple(range(g64.ndim - 1))   # () for a vector: the sum is the identity
         return dx, (g64 * xhat).sum(axis=axes), g64.sum(axis=axes)
 
@@ -467,10 +469,11 @@ def straight_through(a: Tensor, forward_value: np.ndarray) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Accumulate a scalar loss's gradient into .grad of each parameter reached.
 
-    Backward releases the tape: a node whose closure has run drops the
-    closure and its parents, so a loss the caller still holds keeps no
-    activation alive.  Such a node is consumed, and backward through it
-    again, without a fresh forward pass, raises TapeError.
+    Only nodes that need a gradient are visited, so every leaf reached is
+    a parameter.  Backward releases the tape: a node whose closure has run
+    drops the closure and its parents, so a loss the caller still holds
+    keeps no activation alive.  Such a node is consumed, and backward
+    through it again, without a fresh forward pass, raises TapeError.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -487,27 +490,19 @@ def backward(loss: Tensor) -> None:
         seen[t._id] = t
         if t._consumed:
             raise TapeError("stale tape: backward was already run through this node")
-        stack.extend(t._parents)
+        stack.extend(p for p in t._parents if p.requires_grad)
 
     grads: dict[int, np.ndarray] = {loss._id: np.asarray(1.0, dtype=loss.data.dtype)}
     for t in sorted(seen.values(), key=lambda n: n._id, reverse=True):
         g = grads.pop(t._id)   # seeded for the loss, sent by a consumer for every other node
         if t._bwd is None:
-            if t.requires_grad:
-                g = np.asarray(g, dtype=t.data.dtype)
-                t.grad = g.copy() if t.grad is None else t.grad + g
+            t.grad = g.copy() if t.grad is None else t.grad + g
             continue
-        parent_grads = t._bwd(np.asarray(g, dtype=t.data.dtype))
-        for p, pg in zip(t._parents, parent_grads):
-            pg = np.asarray(pg, dtype=p.data.dtype)
-            if p._id in grads:
-                grads[p._id] = grads[p._id] + pg
-            else:
-                grads[p._id] = pg
+        for p, pg in zip(t._parents, t._bwd(g)):
+            if p.requires_grad:
+                pg = np.asarray(pg, dtype=p.data.dtype)
+                if p._id in grads:
+                    grads[p._id] = grads[p._id] + pg
+                else:
+                    grads[p._id] = pg
         t._bwd, t._parents, t._consumed = None, (), True
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    """Clear accumulated gradients in place."""
-    for p in params:
-        p.grad = None

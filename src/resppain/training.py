@@ -393,7 +393,6 @@ def train(train_records: list[sig.RespirationRecord],
                     raise NumericalError(f"non-finite gradient for parameter {name!r} at epoch {epoch}; "
                                          f"aborting before the optimizer step")
             optimizer.step(params, lr)
-            nm.zero_grads(params.values())
 
         train_loss = float(np.mean(epoch_losses))
         report = _evaluate_prepared(val_prepared, enc_cfg, params, variant)

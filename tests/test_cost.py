@@ -227,14 +227,3 @@ def test_count_flops_validation_and_param_passthrough():
         cost.count_flops(SMALL, 100, 0)
     rep = cost.count_flops(SMALL, 400, 2)
     assert rep.params_total == cost.count_params(SMALL, 2).params_total
-
-
-def test_cost_report_consistency_enforced():
-    with pytest.raises(ValueError):
-        cost.CostReport(config=SMALL, input_length=1, n_windows=1, params_total=5,
-                        params_by_component={"x": 4}, flops_forward=0,
-                        flops_by_component={"none": 0})
-    with pytest.raises(ValueError):
-        cost.CostReport(config=SMALL, input_length=1, n_windows=1, params_total=4,
-                        params_by_component={"x": 4}, flops_forward=7,
-                        flops_by_component={"y": 6})

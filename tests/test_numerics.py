@@ -368,11 +368,14 @@ def _operand_choices(op: str, shapes: list[tuple[int, ...]]) -> list[tuple[int, 
 
 @st.composite
 def _op_graphs(draw):
-    """(leaf shapes, steps, seed): each step is (op, operand indices) over
-    the pool of leaves and earlier results."""
+    """(leaf shapes, constants, steps, seed): each step is (op, operand
+    indices) over the pool of leaves, one fixed constant per leaf shape,
+    and earlier results."""
     n, m = draw(st.integers(2, 3)), draw(st.integers(2, 3))
     leaves = [(n, m), (m, n), (m,), (n,)]
-    pool = [nm.constant(np.zeros(s), dtype=np.float64) for s in leaves]
+    constants = [nm.constant(np.random.default_rng(k).normal(size=s), dtype=np.float64)
+                 for k, s in enumerate(leaves)]
+    pool = [nm.constant(np.zeros(s), dtype=np.float64) for s in leaves] + constants
     steps = []
     for _ in range(draw(st.integers(2, 8))):
         op = draw(st.sampled_from(list(_GRAPH_OPS)))
@@ -381,7 +384,7 @@ def _op_graphs(draw):
             args = draw(st.sampled_from(choices))
             pool.append(_apply(op, [pool[i] for i in args], len(steps)))
             steps.append((op, args))
-    return leaves, steps, draw(st.integers(0, 2 ** 16))
+    return leaves, constants, steps, draw(st.integers(0, 2 ** 16))
 
 
 # derandomized: central differences carry ~1e-9 absolute roundoff, so a
@@ -395,15 +398,16 @@ def test_random_op_graphs_pass_gradcheck(graph):
     # loss, each leaf is read at least twice, and no leaf's gradient is
     # zero by construction (a per-row shift before softmax_rows, say,
     # would make it pure finite-difference roundoff).
-    leaves, steps, seed = graph
+    leaves, constants, steps, seed = graph
 
     def build(tensors):
-        pool = list(tensors)
+        pool = [*tensors, *constants]
         for k, (op, args) in enumerate(steps):
             pool.append(_apply(op, [pool[i] for i in args], k))
         return nm.add_n(weighted_sum(t, seed=k) for k, t in enumerate(pool))
 
     assert gradcheck(build, leaves, seed=seed) < 1e-5
+    assert all(c.grad is None for c in constants)
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +475,33 @@ def test_backward_releases_the_graph_behind_a_held_loss():
     np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0], atol=1e-12)
 
 
+def test_backward_computes_no_gradient_for_a_constant_operand(monkeypatch):
+    # Spy on every backward closure: none may return a gradient for an
+    # operand that needs none, as the constant tokens under ln_kv need none.
+    sent_to_constants, calls = [], []
+    record = nm._result
+
+    def spying_result(data, parents, bwd):
+        def spied(g):
+            out = bwd(g)
+            calls.append(len(parents))
+            sent_to_constants.extend(pg for p, pg in zip(parents, out)
+                                     if not p.requires_grad and pg is not None)
+            return out
+        return record(data, parents, spied)
+
+    monkeypatch.setattr(nm, "_result", spying_result)
+    rng = np.random.default_rng(5)
+    x = nm.constant(rng.normal(size=(6, 4)), dtype=np.float64)
+    gain = nm.parameter(rng.normal(size=4), dtype=np.float64)
+    bias = nm.parameter(rng.normal(size=4), dtype=np.float64)
+    nm.backward(nm.sum_all(nm.layer_norm(nm.layer_norm(x, gain, bias), gain, bias)))
+    assert calls == [1, 3, 3]
+    assert sent_to_constants == []
+    assert x.grad is None
+    assert gain.grad is not None and bias.grad is not None
+
+
 def test_backward_returns_nothing_and_a_bare_parameter_accumulates():
     # a bare parameter is a leaf, never consumed: each call adds its unit gradient
     x = nm.parameter(np.array(2.0), dtype=np.float64)
@@ -523,13 +554,11 @@ def test_no_grad_is_local_to_its_thread():
     assert nm.mul(x, x).requires_grad      # and this thread never left recording
 
 
-def test_leaf_grad_accumulation_and_zero():
+def test_leaf_grad_accumulates():
     x = nm.parameter(np.array([1.0, 1.0]), dtype=np.float64)
     nm.backward(nm.sum_all(nm.scale(x, 2.0)))
     nm.backward(nm.sum_all(nm.scale(x, 3.0)))
     np.testing.assert_allclose(x.grad, [5.0, 5.0], atol=1e-12)
-    nm.zero_grads([x])
-    assert x.grad is None
 
 
 def test_tensor_data_is_immutable():

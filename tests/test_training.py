@@ -131,12 +131,24 @@ def test_adam_matches_reference_sequence():
         for k in params:
             params[k].grad = grads[k].copy()
         opt.step(params, lr=0.01)
-        nm.zero_grads(params.values())
 
     want = oracles.adam_reference(grad_seq, init, lr=0.01)
     for k in params:
         np.testing.assert_allclose(params[k].data, want[k], atol=1e-12)
     assert opt.t == 3
+
+
+def test_adam_step_leaves_no_gradient_behind():
+    # a parameter with a gradient is replaced by a fresh leaf; one without
+    # is kept as is, so after a step no parameter holds a gradient
+    rng = np.random.default_rng(3)
+    params = {k: nm.parameter(rng.normal(size=3), dtype=np.float64) for k in "abcd"}
+    nm.backward(nm.sum_all(nm.mul(params["a"], params["c"])))
+    before = dict(params)
+    trn.Adam().step(params, lr=0.01)
+    assert all(p.grad is None for p in params.values())
+    assert params["b"] is before["b"] and params["d"] is before["d"]
+    assert params["a"] is not before["a"] and params["c"] is not before["c"]
 
 
 def test_adam_skips_parameters_without_gradients():
