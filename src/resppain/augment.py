@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import signal as sig
+
 logger = logging.getLogger(__name__)
 
 # SNR for additive noise is drawn as U(0.001*k, 0.005*k) with k ~ U(1, 1000),
@@ -132,7 +134,7 @@ def apply_augmentations(x: np.ndarray, cfg: AugmentConfig, rng: np.random.Genera
         y = _noise_for_snr(y, plan.noise_snr, rng)
     if plan.mask_on:
         if y.size < MIN_MASK_LEN:
-            raise ValueError(f"mask augmentation needs at least {MIN_MASK_LEN} samples, got {y.size}")
+            raise sig.DataError(f"mask augmentation needs at least {MIN_MASK_LEN} samples, got {y.size}")
         start, m = _mask_params(y.size, plan.mask_fraction, plan.mask_anchor)
         y = y.copy()
         y[start:start + m] = 0.0

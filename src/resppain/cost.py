@@ -18,11 +18,12 @@ mixing).  Attention is linear in token count, so the per-token work of
 the window pass is counted over the input samples that tile the windows;
 the zero-pad tail of the last window is excluded by convention.
 
-These analytic FLOPs keep the paper's convention, against which
-`REFERENCE_COSTS` compares them: every token is projected to a key and a
-value at model width.  The executed forward contracts the scores and the
-value mix through the c+1 wide tokens instead (`encoder.attention`), so
-it does fewer FLOPs than counted here: a measured executed-to-analytic
+wk has no bias (softmax ignores a per-latent score shift), but these
+analytic FLOPs keep the paper's convention, against which
+`REFERENCE_COSTS` compares them: every token is projected to a biased key
+and a value at model width.  The executed forward contracts the scores
+and the value mix through the c wide normed tokens (`encoder.attention`),
+so it does fewer FLOPs than counted here: a measured executed-to-analytic
 ratio below 1 is by design, not a missed term.
 """
 
@@ -81,7 +82,7 @@ def _attention_params(cfg: EncoderConfig, kv_dim: int) -> int:
     d = cfg.model_dim
     return (_norm_params(d) + _norm_params(kv_dim)
             + _linear_params(d, d)        # wq
-            + _linear_params(kv_dim, d)   # wk
+            + kv_dim * d                  # wk, no bias
             + _linear_params(kv_dim, d)   # wv
             + _linear_params(d, d))       # wo
 

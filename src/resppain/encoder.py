@@ -3,11 +3,10 @@
 A fixed array of learnable latent vectors (N x d) queries the signal:
 samples become Fourier-featurized tokens, (T, c), and the latents attend
 to all of them at once through one single-head cross-attention layer.
-Its keys and values are affine maps of the normed tokens into model
-width, but they are never built: the scores and the value mix contract
-through the c+1 wide matrix [ln_kv(tokens) | 1] and the stacked weights
-[w ; b], whose ones column carries each bias exactly (see `attention`).
-So the per-token cost is O(N c), not O(N d + c d).  Optional
+Its keys and values are maps of the normed tokens into model width, but
+they are never built: the scores and the value mix contract through the
+c wide normed tokens themselves (see `attention`).  So the per-token
+cost is O(N c), not O(N d + c d).  Optional
 self-attention layers mix the latents after each cross-attention, and a
 gated feed-forward block follows every attention module.  Mean-pooling
 the final latents plus a learned linear projection yields one embedding
@@ -140,7 +139,7 @@ def _norm_rows(prefix: str, dim: int) -> list[ParamRow]:
 
 def _attention_rows(prefix: str, kv_dim: int, d: int) -> list[ParamRow]:
     return (_norm_rows(f"{prefix}.ln_q", d) + _norm_rows(f"{prefix}.ln_kv", kv_dim)
-            + linear_rows(f"{prefix}.wq", d, d) + linear_rows(f"{prefix}.wk", kv_dim, d)
+            + linear_rows(f"{prefix}.wq", d, d) + [(f"{prefix}.wk.w", (kv_dim, d), "uniform")]
             + linear_rows(f"{prefix}.wv", kv_dim, d) + linear_rows(f"{prefix}.wo", d, d))
 
 
@@ -186,30 +185,28 @@ def _norm(x: Tensor, params: dict, prefix: str) -> Tensor:
 # blocks
 
 def _query_tensors(latents: Tensor, params: dict, prefix: str) -> tuple[Tensor, ...]:
-    """The seven tensors the scores' latent half reads, in `_score_query`'s argument order."""
-    return (latents, *(params[f"{prefix}.{n}"] for n in ("ln_q.g", "ln_q.b", "wq.w", "wq.b", "wk.w", "wk.b")))
+    """The six tensors the scores' latent half reads, in `_score_query`'s argument order."""
+    return (latents, *(params[f"{prefix}.{n}"] for n in ("ln_q.g", "ln_q.b", "wq.w", "wq.b", "wk.w")))
 
 
-def _score_query(latents: Tensor, ln_g: Tensor, ln_b: Tensor, wq_w: Tensor, wq_b: Tensor,
-                 wk_w: Tensor, wk_b: Tensor) -> Tensor:
-    """(q Wk1^T) / sqrt(d) with q = wq(ln_q(latents)): the latent half of
-    the attention scores, (n, c+1), where Wk1 = [wk.w ; wk.b]."""
+def _score_query(latents: Tensor, ln_g: Tensor, ln_b: Tensor, wq_w: Tensor, wq_b: Tensor, wk_w: Tensor) -> Tensor:
+    """(q wk.w^T) / sqrt(d) with q = wq(ln_q(latents)): the latent half of
+    the attention scores, (n, c)."""
     q = nm.add(nm.matmul(nm.layer_norm(latents, ln_g, ln_b), wq_w), wq_b)
-    wk1 = nm.stack_rows([wk_w, wk_b])
-    return nm.scale(nm.matmul(q, nm.transpose(wk1)), 1.0 / np.sqrt(latents.shape[1]))
+    return nm.scale(nm.matmul(q, nm.transpose(wk_w)), 1.0 / np.sqrt(latents.shape[1]))
 
 
 _cached_score_query = functools.lru_cache(maxsize=1)(_score_query)
 
 
 def latent_query(params: dict) -> Tensor:
-    """(q Wk1^T) / sqrt(d) of the first cross-attention, block0.cross0.
+    """(q wk.w^T) / sqrt(d) of the first cross-attention, block0.cross0.
 
     It reads only parameters, never the signal, so every signal encoded
     with the same params shares it: pass the result to `encode` as
     `query` to compute it once for all of them.
 
-    Under `no_grad` the last result is kept, keyed on the seven tensors
+    Under `no_grad` the last result is kept, keyed on the six tensors
     it reads, which hash by identity, and returned while `params` maps
     them to the very same objects.  Tensors are immutable and
     `Adam.step` replaces every tensor it updates, so new values mean new
@@ -227,29 +224,26 @@ def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
     """Single-head attention of latents over context, residual output.
 
     Computes wo(softmax(Q K^T / sqrt(d)) V) with Q = wq(ln_q(latents)),
-    K = wk(kn), V = wv(kn) and kn = ln_kv(context), (T, c), but never
-    builds K or V: by associativity it contracts through the c+1 wide
-    token matrix K1 = [kn | 1] instead,
+    K = kn wk.w, V = wv(kn) and kn = ln_kv(context), (T, c), but never
+    builds K or V: by associativity it contracts through kn instead,
 
-        scores = ((Q Wk1^T) / sqrt(d)) K1^T     mix = (weights K1) Wv1
+        scores = ((Q wk.w^T) / sqrt(d)) kn^T     mix = (weights kn) wv.w + wv.b
 
-    with Wk1 = [wk.w ; wk.b] and Wv1 = [wv.w ; wv.b], (c+1, d).  The
-    ones column of K1 carries both biases exactly.  No array of the
-    forward pass or its tape is (T, d), so cross-attention costs
-    O(n T c) besides its fixed O(n d^2) latent work; self-attention
-    (c = d, T = n) does the same FLOPs as the K/V form.  Dropout acts on
-    the (n, d) output before the residual add.  Cross-attention passes
-    the token matrix as context; self-attention passes the latents
+    The key has no bias, since it would shift each latent's scores by one
+    constant, which softmax ignores; the value bias is added after the
+    mix, since each row of weights sums to 1.  No array of the forward
+    pass or its tape is (T, d), so cross-attention costs O(n T c)
+    besides its fixed O(n d^2) latent work; self-attention (c = d,
+    T = n) does the same FLOPs as the K/V form.  Dropout acts on the
+    (n, d) output before the residual add.  Cross-attention passes the
+    token matrix as context; self-attention passes the latents
     themselves.  A given `query` is used in place of the scores' latent
-    half (Q Wk1^T) / sqrt(d); it must be exactly that (`latent_query`).
+    half (Q wk.w^T) / sqrt(d); it must be exactly that (`latent_query`).
     """
     a = _score_query(*_query_tensors(latents, params, prefix)) if query is None else query
     kn = _norm(context, params, f"{prefix}.ln_kv")
-    ones = nm.constant(np.ones(kn.shape[0]), dtype=kn.dtype)
-    k1t = nm.stack_rows([nm.transpose(kn), ones])
-    weights = nm.softmax_rows(nm.matmul(a, k1t))
-    wv1 = nm.stack_rows([params[f"{prefix}.wv.w"], params[f"{prefix}.wv.b"]])
-    mixed = nm.matmul(nm.matmul(weights, nm.transpose(k1t)), wv1)
+    weights = nm.softmax_rows(nm.matmul(a, nm.transpose(kn)))
+    mixed = _affine(nm.matmul(weights, kn), params, f"{prefix}.wv")
     mixed = nm.dropout(_affine(mixed, params, f"{prefix}.wo"), dropout, training, rng)
     return nm.add(latents, mixed)
 
@@ -272,7 +266,7 @@ def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
 
     One signal per call: batching is a caller-side loop, so an embedding
     never depends on what else shares the batch.  The latent half of the
-    first cross-attention's scores, (Q Wk1^T) / sqrt(d), does not depend
+    first cross-attention's scores, (Q wk.w^T) / sqrt(d), does not depend
     on the signal either; callers that encode several signals with the
     same params compute it once with `latent_query(params)` and pass it
     as `query`.  Left as None, it is computed here, with the same ops and
@@ -309,7 +303,7 @@ def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
 #       each dim u32, values float32 row-major
 
 CHECKPOINT_MAGIC = b"RPCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # (struct code, field names) per header run; a field of another type fails here
 _FIELD_CODES = {f.name: {int: "I", float: "d"}[typing.get_type_hints(EncoderConfig)[f.name]]

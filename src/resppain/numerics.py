@@ -284,23 +284,16 @@ def concat_vec(parts: list[Tensor]) -> Tensor:
 
 
 def stack_rows(rows: list[Tensor]) -> Tensor:
-    """Stack length-L vectors and (r, L) blocks, top to bottom, into one
-    (R, L) matrix: a vector adds one row, a block adds its r rows."""
+    """Stack equal-length vectors into a (R, L) matrix."""
     if not rows:
         raise ShapeError("stack_rows needs at least one tensor")
     _check_same_dtype(*rows)
-    if any(r.data.ndim not in (1, 2) for r in rows) or len({r.shape[-1] for r in rows}) > 1:
-        raise ShapeError(f"stack_rows expects vectors and matrices of one row length, "
-                         f"got {[r.shape for r in rows]}")
-    out = np.concatenate([r.data.reshape(-1, r.shape[-1]) for r in rows])
+    if len({r.shape for r in rows}) > 1 or rows[0].data.ndim != 1:
+        raise ShapeError(f"stack_rows expects equal-length vectors, got {[r.shape for r in rows]}")
+    out = np.stack([r.data for r in rows])
 
     def bwd(g: np.ndarray):
-        grads, off = [], 0
-        for r in rows:
-            n = r.shape[0] if r.data.ndim == 2 else 1
-            grads.append(g[off:off + n].reshape(r.shape))
-            off += n
-        return tuple(grads)
+        return tuple(g)
 
     return _result(out, tuple(rows), bwd)
 

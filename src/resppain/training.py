@@ -164,16 +164,19 @@ def preprocess(x: np.ndarray, prep: sig.PreprocessConfig) -> tuple[np.ndarray, n
 
 def _prepare(records: list[sig.RespirationRecord],
              prep: sig.PreprocessConfig) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Preprocessed (windows, padded, label index) triples, no augmentation."""
-    return [(*preprocess(r.samples, prep), r.label.index) for r in records]
-
-
-def _check_sample_rates(records: list[sig.RespirationRecord], prep: sig.PreprocessConfig) -> None:
-    """Reject records not sampled at the rate the filter and windows assume."""
+    """Preprocessed (windows, padded, label index) triples, no augmentation.
+    A record the pipeline cannot take, such as one not sampled at the rate
+    the filter and windows assume, raises a DataError that names it."""
+    prepared = []
     for r in records:
         if r.sample_rate_hz != prep.sample_rate_hz:
             raise sig.DataError(f"record {r.subject_id!r} is sampled at {r.sample_rate_hz:g} Hz, "
                                 f"but the pipeline expects {prep.sample_rate_hz:g} Hz")
+        try:
+            prepared.append((*preprocess(r.samples, prep), r.label.index))
+        except sig.DataError as e:
+            raise sig.DataError(f"record {r.subject_id!r}: {e}") from e
+    return prepared
 
 
 def forward_views(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderConfig,
@@ -182,7 +185,7 @@ def forward_views(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderC
     """Encode every window plus the full signal with the shared encoder.
 
     The latent half of the first cross-attention's scores,
-    (wq(ln_q(latents)) Wk1^T) / sqrt(d) (`enc.latent_query`), reads no
+    (wq(ln_q(latents)) wk.w^T) / sqrt(d) (`enc.latent_query`), reads no
     input, so it is computed once here and shared by all S + 1 encodes.
     Each embedding equals, bit for bit, what `enc.encode` gives for its
     signal alone.  That path draws no RNG, so dropout draws keep their
@@ -273,7 +276,6 @@ def evaluate(records: list[sig.RespirationRecord], enc_cfg: enc.EncoderConfig,
     """Full-pipeline evaluation of raw records (no augmentation)."""
     if not records:
         raise sig.DataError("evaluate needs at least one record")
-    _check_sample_rates(records, prep)
     return _evaluate_prepared(_prepare(records, prep), enc_cfg, params, variant)
 
 
@@ -333,7 +335,8 @@ def train(train_records: list[sig.RespirationRecord],
     """
     if not train_records or not val_records:
         raise sig.DataError("train needs non-empty train and val splits")
-    _check_sample_rates([*train_records, *val_records], prep)
+    _prepare(train_records, prep)   # checks every training record before the first step
+    val_prepared = _prepare(val_records, prep)
     if aug_cfg is None:
         aug_cfg = aug.AugmentConfig()
     n_classes = sig.N_CLASSES
@@ -349,8 +352,6 @@ def train(train_records: list[sig.RespirationRecord],
     logger.info("model: layout %s, %d latents x %d, %d windows of %gs + full signal, variant %s",
                 enc_cfg.layout(), enc_cfg.n_latents, enc_cfg.model_dim,
                 n_windows, prep.window_seconds, variant)
-
-    val_prepared = _prepare(val_records, prep)
 
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:

@@ -327,6 +327,35 @@ def test_train_missing_manifest_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_samples,mask_prob", [(5, "1.0,1.0"),    # too short to mask or filter
+                                                 (5, "0.0,0.0"),    # too short to filter
+                                                 (401, "0.0,0.0")])  # longer than pad_len = 400
+def test_train_rejects_a_record_it_cannot_take_before_any_step(tmp_path, capsys, monkeypatch,
+                                                               n_samples, mask_prob):
+    # the first training record is cut or repeated to n_samples
+    data = tmp_path / "data"
+    _synth(data)
+    record = data / "train_0000.txt"
+    lines = record.read_text().splitlines()
+    header, samples = lines[:2], lines[2:]
+    record.write_text("\n".join(header + (samples * 2)[:n_samples]) + "\n")
+    cfg = tmp_path / "micro.ini"
+    cfg.write_text(MICRO_CONFIG + f"\n[augment]\nmask_prob = {mask_prob}\n")
+    calls, real_backward = [], nm.backward
+
+    def counting_backward(loss):
+        calls.append(loss)
+        return real_backward(loss)
+
+    monkeypatch.setattr(nm, "backward", counting_backward)
+    rc = cli.main(["train", "--config", str(cfg), "--data", str(data / "manifest.tsv"),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and repr(header[0].removeprefix("subject_id=")) in err
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -420,6 +449,19 @@ def test_eval_corrupt_checkpoint(workspace, tmp_path, capsys):
                    "--data", str(workspace["data"] / "manifest.tsv")])
     assert rc == 4
     assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_eval_rejects_checkpoint_of_an_older_version(workspace, tmp_path, capsys):
+    # version 1 held a key bias per attention layer; its files are not read
+    raw = bytearray((workspace["run"] / "checkpoint_best.bin").read_bytes())
+    assert struct.unpack_from("<I", raw, 4) == (enc.CHECKPOINT_VERSION,) == (2,)
+    struct.pack_into("<I", raw, 4, 1)
+    bad = tmp_path / "v1.bin"
+    bad.write_bytes(bytes(raw))
+    rc = cli.main(["eval", "--checkpoint", str(bad),
+                   "--data", str(workspace["data"] / "manifest.tsv")])
+    assert rc == 4
+    assert "unsupported checkpoint version 1" in capsys.readouterr().err
 
 
 def _drop_ffn_wo(cfg, arrays, extras):
