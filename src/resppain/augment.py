@@ -52,6 +52,12 @@ class AugmentConfig:
             raise ValueError(f"noise_k_range must satisfy 1 <= low <= high, got {self.noise_k_range}")
 
 
+def min_length(cfg: AugmentConfig) -> int:
+    """The fewest samples a signal needs for every plan `cfg` can draw:
+    the mask's minimum when it can fire, else 1."""
+    return MIN_MASK_LEN if cfg.mask_prob_range[1] > 0 else 1
+
+
 def polarity_invert(x: np.ndarray) -> np.ndarray:
     """Flip the sign of every sample (an involution)."""
     x = np.asarray(x, dtype=np.float32)

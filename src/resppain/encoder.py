@@ -295,20 +295,16 @@ def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
 #
 # Little-endian binary container:
 #   magic "RPCK", format version u32
-#   encoder config, derived from EncoderConfig's field order: its int fields
-#       (depth ... out_dim) as u32, then its float fields (max_freq_hz, dropout) as f64
-#   extras: u32 count, then per entry name (u16 length + utf8), type tag
-#       u8 (0 = int, 1 = float, 2 = str), value (i64 / f64 / u32 len + utf8)
+#   header: one value per entry of the caller's `kinds`, in order; a dataclass
+#       is its fields in declaration order, each by its declared type: int u32,
+#       float f64, bool u8 (0 or 1), str u16 length + utf8
 #   tensors: u32 count, then per tensor name (u16 length + utf8), ndim u8,
 #       each dim u32, values float32 row-major
 
 CHECKPOINT_MAGIC = b"RPCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
-# (struct code, field names) per header run; a field of another type fails here
-_FIELD_CODES = {f.name: {int: "I", float: "d"}[typing.get_type_hints(EncoderConfig)[f.name]]
-                for f in dataclasses.fields(EncoderConfig)}
-_HEADER = tuple((code, tuple(n for n, c in _FIELD_CODES.items() if c == code)) for code in "Id")
+_SCALARS = {int: "<I", float: "<d", bool: "<B"}   # the struct format of each scalar type
 
 
 class CheckpointError(RuntimeError):
@@ -323,28 +319,25 @@ def _write_str(buf: io.BytesIO, s: str) -> None:
     buf.write(raw)
 
 
-def save_checkpoint(path: str | Path, cfg: EncoderConfig, params: dict[str, Tensor],
-                    extras: dict[str, int | float | str] | None = None) -> None:
-    """Serialize a config plus any named parameter tensors."""
+def _write_value(buf: io.BytesIO, kind: type, value) -> None:
+    if dataclasses.is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        for f in dataclasses.fields(kind):
+            _write_value(buf, hints[f.name], getattr(value, f.name))
+    elif kind is str:
+        _write_str(buf, value)
+    else:
+        buf.write(struct.pack(_SCALARS[kind], value))
+
+
+def save_checkpoint(path: str | Path, kinds: tuple[type, ...], header: tuple,
+                    params: dict[str, Tensor]) -> None:
+    """Serialize header values, each written as its entry of `kinds`, plus named tensors."""
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
     buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    for code, names in _HEADER:
-        buf.write(struct.pack(f"<{len(names)}{code}", *(getattr(cfg, n) for n in names)))
-    extras = extras or {}
-    buf.write(struct.pack("<I", len(extras)))
-    for name, value in extras.items():
-        _write_str(buf, name)
-        if isinstance(value, bool) or isinstance(value, (int, np.integer)):
-            buf.write(struct.pack("<Bq", 0, int(value)))
-        elif isinstance(value, (float, np.floating)):
-            buf.write(struct.pack("<Bd", 1, float(value)))
-        elif isinstance(value, str):
-            raw = value.encode("utf-8")
-            buf.write(struct.pack("<BI", 2, len(raw)))
-            buf.write(raw)
-        else:
-            raise CheckpointError(f"extras[{name!r}] has unsupported type {type(value).__name__}")
+    for kind, value in zip(kinds, header, strict=True):
+        _write_value(buf, kind, value)
     buf.write(struct.pack("<I", len(params)))
     for name, tensor in params.items():
         _write_str(buf, name)
@@ -373,21 +366,34 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def take_str(self, n: int) -> str:
+    def read_str(self) -> str:
+        (n,) = self.unpack("<H")
         at = self.off
         try:
             return str(self.take(n), "utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"{self.path}: string at offset {at} is not UTF-8: {e}") from e
 
-    def read_str(self) -> str:
-        (n,) = self.unpack("<H")
-        return self.take_str(n)
+    def read_value(self, kind: type, name: str):
+        """One value of `kind`; a dataclass is built from its fields, so its own checks apply."""
+        if dataclasses.is_dataclass(kind):
+            hints = typing.get_type_hints(kind)
+            fields = {f.name: self.read_value(hints[f.name], f.name) for f in dataclasses.fields(kind)}
+            try:
+                return kind(**fields)
+            except ValueError as e:
+                raise CheckpointError(f"{self.path}: invalid {name} in header: {e}") from e
+        if kind is str:
+            return self.read_str()
+        at = self.off
+        (value,) = self.unpack(_SCALARS[kind])
+        if kind is bool and value not in (0, 1):
+            raise CheckpointError(f"{self.path}: bool {name} at offset {at} holds {value}, not 0 or 1")
+        return kind(value)
 
 
-def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarray],
-                                               dict[str, int | float | str]]:
-    """Inverse of save_checkpoint; bit-exact for float32 tensor data."""
+def load_checkpoint(path: str | Path, kinds: tuple[type, ...]) -> tuple[list, dict[str, np.ndarray]]:
+    """Inverse of save_checkpoint for the same `kinds`; bit-exact for float32 tensor data."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -399,27 +405,7 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
     (version,) = r.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    fields = {}
-    for code, names in _HEADER:
-        fields.update(zip(names, r.unpack(f"<{len(names)}{code}")))
-    try:
-        cfg = EncoderConfig(**fields)
-    except ValueError as e:
-        raise CheckpointError(f"{path}: invalid config in header: {e}") from e
-    extras: dict[str, int | float | str] = {}
-    (n_extras,) = r.unpack("<I")
-    for _ in range(n_extras):
-        name = r.read_str()
-        (tag,) = r.unpack("<B")
-        if tag == 0:
-            (extras[name],) = r.unpack("<q")
-        elif tag == 1:
-            (extras[name],) = r.unpack("<d")
-        elif tag == 2:
-            (n,) = r.unpack("<I")
-            extras[name] = r.take_str(n)
-        else:
-            raise CheckpointError(f"{path}: unknown extras tag {tag} for {name!r}")
+    header = [r.read_value(kind, kind.__name__) for kind in kinds]
     params: dict[str, np.ndarray] = {}
     (n_tensors,) = r.unpack("<I")
     for _ in range(n_tensors):
@@ -435,4 +421,4 @@ def load_checkpoint(path: str | Path) -> tuple[EncoderConfig, dict[str, np.ndarr
         params[name] = np.ascontiguousarray(data, dtype=np.float32)
     if r.off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - r.off} trailing bytes after checkpoint payload")
-    return cfg, params, extras
+    return header, params

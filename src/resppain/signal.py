@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, sosfiltfilt
+from scipy.signal import butter, sosfilt_zi, sosfiltfilt
 
 
 class DataError(ValueError):
@@ -88,6 +88,8 @@ class PreprocessConfig:
                 f"band ({self.filter_low_hz}, {self.filter_high_hz}) Hz must satisfy "
                 f"0 < low < high < {self.sample_rate_hz / 2.0} (Nyquist)"
             )
+        if self.filter_enabled:   # a band the filter cannot be designed for fails here
+            _bandpass_sos(self.filter_low_hz, self.filter_high_hz, self.sample_rate_hz)
         if self.pad_len < 1:
             raise DataError(f"pad_len must be >= 1, got {self.pad_len}")
         if self.window_seconds <= 0:
@@ -103,8 +105,16 @@ class PreprocessConfig:
 
 @functools.lru_cache(maxsize=8)
 def _bandpass_sos(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
-    """The Butterworth sections for one band and rate, designed once and frozen."""
-    sos = butter(2, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos")
+    """The Butterworth sections for one band and rate, designed once and frozen.
+    A band whose sections or initial conditions (`sosfilt_zi`, solved by every
+    `sosfiltfilt` call) fail or are not finite, such as 3e-8 to 0.5 Hz, is a DataError."""
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sos = butter(2, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos")
+            if not (np.isfinite(sos).all() and np.isfinite(sosfilt_zi(sos)).all()):
+                raise ValueError("its sections or initial conditions are not finite")
+    except (ValueError, np.linalg.LinAlgError) as e:
+        raise DataError(f"band ({low_hz}, {high_hz}) Hz at {sample_rate_hz} Hz cannot be filtered: {e}") from e
     sos.flags.writeable = False
     return sos
 

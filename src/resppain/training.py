@@ -14,11 +14,9 @@ logits -> label-smoothed cross-entropy.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import logging
 import math
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -162,16 +160,20 @@ def preprocess(x: np.ndarray, prep: sig.PreprocessConfig) -> tuple[np.ndarray, n
     return sig.segment_windows(padded, prep.window_seconds, prep.sample_rate_hz), padded
 
 
-def _prepare(records: list[sig.RespirationRecord],
-             prep: sig.PreprocessConfig) -> list[tuple[np.ndarray, np.ndarray, int]]:
+def _prepare(records: list[sig.RespirationRecord], prep: sig.PreprocessConfig,
+             min_len: int = 1) -> list[tuple[np.ndarray, np.ndarray, int]]:
     """Preprocessed (windows, padded, label index) triples, no augmentation.
     A record the pipeline cannot take, such as one not sampled at the rate
-    the filter and windows assume, raises a DataError that names it."""
+    the filter and windows assume or one shorter than the `min_len`
+    samples augmentation needs, raises a DataError that names it."""
     prepared = []
     for r in records:
         if r.sample_rate_hz != prep.sample_rate_hz:
             raise sig.DataError(f"record {r.subject_id!r} is sampled at {r.sample_rate_hz:g} Hz, "
                                 f"but the pipeline expects {prep.sample_rate_hz:g} Hz")
+        if r.samples.size < min_len:
+            raise sig.DataError(f"record {r.subject_id!r} has {r.samples.size} samples, "
+                                f"but augmentation needs at least {min_len}")
         try:
             prepared.append((*preprocess(r.samples, prep), r.label.index))
         except sig.DataError as e:
@@ -335,10 +337,11 @@ def train(train_records: list[sig.RespirationRecord],
     """
     if not train_records or not val_records:
         raise sig.DataError("train needs non-empty train and val splits")
-    _prepare(train_records, prep)   # checks every training record before the first step
-    val_prepared = _prepare(val_records, prep)
     if aug_cfg is None:
         aug_cfg = aug.AugmentConfig()
+    # checks every training record before the first step
+    _prepare(train_records, prep, aug.min_length(aug_cfg) if train_cfg.augment_enabled else 1)
+    val_prepared = _prepare(val_records, prep)
     n_classes = sig.N_CLASSES
     n_windows = prep.n_windows
     variant = train_cfg.fusion_variant
@@ -420,17 +423,15 @@ def train(train_records: list[sig.RespirationRecord],
 
 
 # ---------------------------------------------------------------------------
-# pipeline checkpoints (encoder container + head/gate tensors + run extras)
+# pipeline checkpoints (header of settings + encoder, head and gate tensors)
 
-# checkpoint extras, in file order: the variant, the class count and every PreprocessConfig field
-PIPELINE_EXTRAS = ("variant", "n_classes", "window_seconds", "pad_len", "sample_rate_hz",
-                   "filter_enabled", "filter_low_hz", "filter_high_hz")
+# the header's values, in file order: encoder settings, preprocessing settings, variant, class count
+HEADER_TYPES = (enc.EncoderConfig, sig.PreprocessConfig, str, int)
 
 
 def save_pipeline(path: str | Path, enc_cfg: enc.EncoderConfig, params: dict[str, Tensor],
                   prep: sig.PreprocessConfig, variant: str, n_classes: int) -> None:
-    values = {"variant": variant, "n_classes": n_classes, **dataclasses.asdict(prep)}
-    enc.save_checkpoint(path, enc_cfg, params, {name: values[name] for name in PIPELINE_EXTRAS})
+    enc.save_checkpoint(path, HEADER_TYPES, (enc_cfg, prep, variant, n_classes), params)
 
 
 def load_pipeline(path: str | Path) -> tuple[enc.EncoderConfig, dict[str, Tensor],
@@ -440,30 +441,14 @@ def load_pipeline(path: str | Path) -> tuple[enc.EncoderConfig, dict[str, Tensor
     Every tensor name and shape must match the parameter rows the stored
     config, variant and window count declare; the check builds no model.
     """
-    cfg, arrays, extras = enc.load_checkpoint(path)
-    missing = set(PIPELINE_EXTRAS) - extras.keys()
-    if missing:
-        raise enc.CheckpointError(f"{path}: checkpoint lacks pipeline fields {sorted(missing)}")
-    variant = str(extras["variant"])
+    (cfg, prep, variant, n_classes), arrays = enc.load_checkpoint(path, HEADER_TYPES)
     if variant not in fus.VARIANTS:
         raise enc.CheckpointError(f"{path}: unknown fusion variant {variant!r}")
-    if extras["n_classes"] != sig.N_CLASSES:
-        raise enc.CheckpointError(f"{path}: checkpoint has {extras['n_classes']} classes, "
-                                  f"expected {sig.N_CLASSES}")
-    hints = typing.get_type_hints(sig.PreprocessConfig)
-    fields = {}
-    for f in dataclasses.fields(sig.PreprocessConfig):
-        value, kind = extras[f.name], hints[f.name]
-        # an int field needs an int extra, a bool field an int 0 or 1, a float field either number
-        allowed = (int, float) if kind is float else (int,)
-        if type(value) not in allowed or (kind is bool and value not in (0, 1)):
-            raise enc.CheckpointError(f"{path}: invalid preprocessing fields: {f.name}={value!r} "
-                                      f"is no {kind.__name__}")
-        fields[f.name] = kind(value)
+    if n_classes != sig.N_CLASSES:
+        raise enc.CheckpointError(f"{path}: checkpoint has {n_classes} classes, expected {sig.N_CLASSES}")
     try:
-        prep = sig.PreprocessConfig(**fields)
         n_windows = prep.n_windows
-    except ValueError as e:
+    except sig.DataError as e:
         raise enc.CheckpointError(f"{path}: invalid preprocessing fields: {e}") from e
     # reading one row more than the file holds shows whether the config declares
     # more, so a corrupt header (say depth 10**6) costs no more than the file

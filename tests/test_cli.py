@@ -10,10 +10,11 @@ import shutil
 import struct
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from resppain import augment as aug
@@ -192,6 +193,22 @@ def test_non_finite_config_value_rejected(tmp_path, capsys, section, key, value)
     assert key in err and "finite" in err
 
 
+@pytest.mark.parametrize("low", ["3e-8", "1e-8", "5e-324"])
+def test_band_the_filter_cannot_take_rejected(workspace, tmp_path, capsys, low):
+    # each passes 0 < low < high < Nyquist, but scipy cannot design or start its filter
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[data]\nfilter_low_hz = {low}\n")
+    rc = cli.main(["train", "--config", str(cfg), "--data", "whatever.tsv",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert f"config error: band ({float(low)!r}, 0.5) Hz" in capsys.readouterr().err
+    bad = _with_header_field(workspace["run"] / "checkpoint_best.bin", tmp_path / "bad.bin",
+                             "filter_low_hz", float(low))
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "checkpoint error" in err and f"band ({float(low)!r}, 0.5) Hz" in err
+
+
 def test_non_finite_window_seconds_flag_rejected(tmp_path, capsys):
     for argv in (["train", "--data", "whatever.tsv", "--out", str(tmp_path / "run")],
                  ["eval", "--checkpoint", "x.bin", "--data", "whatever.tsv"]):
@@ -274,6 +291,13 @@ def _valid_settings(draw):
                                      min_size=2, max_size=2, unique=True)))
     epochs = draw(st.integers(1, 1000))
     warmup = draw(st.integers(0, epochs))
+    try:
+        prep = sig.PreprocessConfig(
+            sample_rate_hz=rate, filter_enabled=draw(st.booleans()), filter_low_hz=low,
+            filter_high_hz=high, pad_len=draw(st.integers(1, 10**6)),
+            window_seconds=draw(st.floats(0.0, 1e4, exclude_min=True)))
+    except sig.DataError:   # a band the filter cannot be designed for is no valid setting
+        assume(False)
     return cli.RunSettings(
         enc_cfg=enc.EncoderConfig(
             depth=draw(st.integers(1, 4)), cross_per_block=draw(st.integers(1, 4)),
@@ -289,10 +313,7 @@ def _valid_settings(draw):
             warmup_epochs=warmup, cooldown_epochs=draw(st.integers(0, epochs - warmup)),
             seed=draw(st.integers(0, 2**63)), fusion_variant=draw(st.sampled_from(fus.VARIANTS)),
             checkpoint_interval=draw(st.integers(0, 100)), augment_enabled=draw(st.booleans())),
-        prep=sig.PreprocessConfig(
-            sample_rate_hz=rate, filter_enabled=draw(st.booleans()), filter_low_hz=low,
-            filter_high_hz=high, pad_len=draw(st.integers(1, 10**6)),
-            window_seconds=draw(st.floats(0.0, 1e4, exclude_min=True))),
+        prep=prep,
         aug_cfg=aug.AugmentConfig(
             polarity_prob_range=draw(_sorted_pair(0.0, 1.0)), noise_prob_range=draw(_sorted_pair(0.0, 1.0)),
             mask_prob_range=draw(_sorted_pair(0.0, 1.0)), mask_fraction_range=draw(_sorted_pair(0.0, 1.0)),
@@ -327,11 +348,15 @@ def test_train_missing_manifest_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("n_samples,mask_prob", [(5, "1.0,1.0"),    # too short to mask or filter
-                                                 (5, "0.0,0.0"),    # too short to filter
-                                                 (401, "0.0,0.0")])  # longer than pad_len = 400
+@pytest.mark.parametrize("n_samples,mask_prob,filter_enabled", [
+    pytest.param(5, "1.0,1.0", True, id="5-1.0,1.0"),              # too short to mask or filter
+    pytest.param(5, "0.0,0.0", True, id="5-0.0,0.0"),              # too short to filter
+    pytest.param(401, "0.0,0.0", True, id="401-0.0,0.0"),          # longer than pad_len = 400
+    pytest.param(5, "1.0,1.0", False, id="5-1.0,1.0-unfiltered"),  # too short to mask
+    pytest.param(5, "0.0,0.0", False, id="5-0.0,0.0-unfiltered"),  # no mask, no filter: it trains
+])
 def test_train_rejects_a_record_it_cannot_take_before_any_step(tmp_path, capsys, monkeypatch,
-                                                               n_samples, mask_prob):
+                                                               n_samples, mask_prob, filter_enabled):
     # the first training record is cut or repeated to n_samples
     data = tmp_path / "data"
     _synth(data)
@@ -340,7 +365,8 @@ def test_train_rejects_a_record_it_cannot_take_before_any_step(tmp_path, capsys,
     header, samples = lines[:2], lines[2:]
     record.write_text("\n".join(header + (samples * 2)[:n_samples]) + "\n")
     cfg = tmp_path / "micro.ini"
-    cfg.write_text(MICRO_CONFIG + f"\n[augment]\nmask_prob = {mask_prob}\n")
+    cfg.write_text(MICRO_CONFIG.replace("[data]\n", f"[data]\nfilter_enabled = {filter_enabled}\n")
+                   + f"\n[augment]\nmask_prob = {mask_prob}\n")
     calls, real_backward = [], nm.backward
 
     def counting_backward(loss):
@@ -350,6 +376,9 @@ def test_train_rejects_a_record_it_cannot_take_before_any_step(tmp_path, capsys,
     monkeypatch.setattr(nm, "backward", counting_backward)
     rc = cli.main(["train", "--config", str(cfg), "--data", str(data / "manifest.tsv"),
                    "--out", str(tmp_path / "run")])
+    if mask_prob == "0.0,0.0" and not filter_enabled:
+        assert rc == 0 and calls
+        return
     assert rc == 3
     err = capsys.readouterr().err
     assert "data error" in err and repr(header[0].removeprefix("subject_id=")) in err
@@ -452,43 +481,40 @@ def test_eval_corrupt_checkpoint(workspace, tmp_path, capsys):
 
 
 def test_eval_rejects_checkpoint_of_an_older_version(workspace, tmp_path, capsys):
-    # version 1 held a key bias per attention layer; its files are not read
+    # version 2 stored the preprocessing fields as tagged extras; its files are not read
     raw = bytearray((workspace["run"] / "checkpoint_best.bin").read_bytes())
-    assert struct.unpack_from("<I", raw, 4) == (enc.CHECKPOINT_VERSION,) == (2,)
-    struct.pack_into("<I", raw, 4, 1)
-    bad = tmp_path / "v1.bin"
+    assert struct.unpack_from("<I", raw, 4) == (enc.CHECKPOINT_VERSION,) == (3,)
+    struct.pack_into("<I", raw, 4, 2)
+    bad = tmp_path / "v2.bin"
     bad.write_bytes(bytes(raw))
     rc = cli.main(["eval", "--checkpoint", str(bad),
                    "--data", str(workspace["data"] / "manifest.tsv")])
     assert rc == 4
-    assert "unsupported checkpoint version 1" in capsys.readouterr().err
+    assert "unsupported checkpoint version 2" in capsys.readouterr().err
 
 
-def _drop_ffn_wo(cfg, arrays, extras):
+def _drop_ffn_wo(header, arrays):
     del arrays["block0.cross0.ffn.wo.w"]
-    return cfg
 
 
-def _five_gate_scores(cfg, arrays, extras):
+def _five_gate_scores(header, arrays):
     arrays["gate.g"] = arrays["gate.g"][[0, 1, 2, 3, 3]]
-    return cfg
 
 
-def _four_classes(cfg, arrays, extras):
-    extras["n_classes"] = 4
-    return cfg
+def _four_classes(header, arrays):
+    header[3] = 4
 
 
-def _inflated_header(cfg, arrays, extras):
+def _inflated_header(header, arrays):
     # a header describing far more parameters than the file holds is
     # refused before any template is built
-    return dataclasses.replace(cfg, n_latents=100_000)
+    header[0] = dataclasses.replace(header[0], n_latents=100_000)
 
 
-def _deep_header(cfg, arrays, extras):
+def _deep_header(header, arrays):
     # a million blocks are declared, but the check reads only one row more
     # than the file holds and names a block1 tensor the file lacks
-    return dataclasses.replace(cfg, depth=10**6)
+    header[0] = dataclasses.replace(header[0], depth=10**6)
 
 
 @pytest.mark.parametrize("edit,named", [(_drop_ffn_wo, "block0.cross0.ffn.wo.w"),
@@ -498,10 +524,10 @@ def _deep_header(cfg, arrays, extras):
                                         (_deep_header, "block1.cross0.attn.ln_kv.b: the file holds nothing")])
 def test_eval_rejects_checkpoint_that_does_not_fit_its_config(workspace, tmp_path, capsys,
                                                              edit, named):
-    cfg, arrays, extras = enc.load_checkpoint(workspace["run"] / "checkpoint_best.bin")
-    cfg = edit(cfg, arrays, extras)
+    header, arrays = enc.load_checkpoint(workspace["run"] / "checkpoint_best.bin", trn.HEADER_TYPES)
+    edit(header, arrays)
     bad = tmp_path / "bad.bin"
-    enc.save_checkpoint(bad, cfg, {k: nm.constant(v) for k, v in arrays.items()}, extras)
+    enc.save_checkpoint(bad, trn.HEADER_TYPES, header, {k: nm.constant(v) for k, v in arrays.items()})
     rc = cli.main(["eval", "--checkpoint", str(bad),
                    "--data", str(workspace["data"] / "manifest.tsv")])
     assert rc == 4
@@ -514,8 +540,7 @@ def _eval_rc(checkpoint, manifest, capsys) -> tuple[int, str]:
     return rc, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old,new", [(b"\x07\x00variant", b"\x07\x00\xffariant"),   # an extras name
-                                     (b"lf_avg_gate", b"\xfff_avg_gate"),            # a string extra
+@pytest.mark.parametrize("old,new", [(b"lf_avg_gate", b"\xfff_avg_gate"),            # the variant
                                      (b"\x07\x00latents", b"\x07\x00\xffatents")])  # a tensor name
 def test_eval_rejects_checkpoint_string_that_is_not_utf8(workspace, tmp_path, capsys, old, new):
     raw = (workspace["run"] / "checkpoint_best.bin").read_bytes()
@@ -527,16 +552,72 @@ def test_eval_rejects_checkpoint_string_that_is_not_utf8(workspace, tmp_path, ca
     assert "checkpoint error" in err and "not UTF-8" in err
 
 
+_FORMATS = {int: "<I", float: "<d", bool: "<B"}
+
+
+def _with_header_field(checkpoint: Path, out: Path, field: str, value) -> Path:
+    """A copy of a pipeline checkpoint with one config field of its header overwritten in place."""
+    raw = bytearray(checkpoint.read_bytes())
+    at = 8   # magic and version
+    for kind in (enc.EncoderConfig, sig.PreprocessConfig):
+        hints = typing.get_type_hints(kind)
+        for f in dataclasses.fields(kind):
+            if f.name == field:
+                struct.pack_into(_FORMATS[hints[f.name]], raw, at, value)
+                out.write_bytes(bytes(raw))
+                return out
+            at += struct.calcsize(_FORMATS[hints[f.name]])
+    raise KeyError(field)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
 def test_eval_rejects_header_max_freq_that_is_not_finite_and_positive(workspace, tmp_path, capsys, value):
-    raw = bytearray((workspace["run"] / "checkpoint_best.bin").read_bytes())
-    ints, floats = (names for _, names in enc._HEADER)
-    struct.pack_into("<d", raw, 8 + 4 * len(ints) + 8 * floats.index("max_freq_hz"), value)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(bytes(raw))
+    bad = _with_header_field(workspace["run"] / "checkpoint_best.bin", tmp_path / "bad.bin", "max_freq_hz", value)
     rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
     assert rc == 4
     assert "checkpoint error" in err and "max_freq_hz" in err
+
+
+@pytest.mark.parametrize("value", [2, 255])
+def test_eval_rejects_header_bool_byte_other_than_0_or_1(workspace, tmp_path, capsys, value):
+    bad = _with_header_field(workspace["run"] / "checkpoint_best.bin", tmp_path / "bad.bin", "filter_enabled", value)
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "checkpoint error" in err and f"filter_enabled at offset 64 holds {value}, not 0 or 1" in err
+
+
+@pytest.mark.parametrize("field,value,named", [("window_seconds", float("nan"), "window"),
+                                               ("sample_rate_hz", float("inf"), "at inf Hz"),
+                                               ("pad_len", 0, "pad_len"),
+                                               ("depth", 0, "depth")])
+def test_eval_rejects_header_field_that_fails_its_dataclass_check(workspace, tmp_path, capsys, field, value, named):
+    bad = _with_header_field(workspace["run"] / "checkpoint_best.bin", tmp_path / "bad.bin", field, value)
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "checkpoint error" in err and named in err
+
+
+def test_eval_rejects_unknown_variant(workspace, tmp_path, capsys):
+    raw = (workspace["run"] / "checkpoint_best.bin").read_bytes()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(raw.replace(b"lf_avg_gate", b"lf_avg_gatX"))
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "unknown fusion variant 'lf_avg_gatX'" in err
+
+
+def test_eval_rejects_header_cut_off_anywhere(workspace, tmp_path, capsys):
+    # every cut from the magic to the first tensor's name
+    raw = (workspace["run"] / "checkpoint_best.bin").read_bytes()
+    end = raw.index(b"latents")
+    bad = tmp_path / "bad.bin"
+    for cut in range(end):
+        bad.write_bytes(raw[:cut])
+        with pytest.raises(enc.CheckpointError, match="truncated|bad magic"):
+            trn.load_pipeline(bad)
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "checkpoint error" in err and "truncated" in err
 
 
 def test_eval_rejects_record_and_manifest_that_are_not_utf8(workspace, tmp_path, capsys):
@@ -558,20 +639,6 @@ def test_eval_rejects_manifest_path_with_nul(workspace, tmp_path, capsys):
     manifest.write_text("a\x00b.txt\ttest\n", encoding="utf-8")
     rc, err = _eval_rc(workspace["run"] / "checkpoint_best.bin", manifest, capsys)
     assert rc == 3 and "cannot read record" in err and "null byte" in err
-
-
-@pytest.mark.parametrize("field,value", [("filter_enabled", "False"), ("filter_enabled", 2),
-                                         ("filter_enabled", 1.0), ("pad_len", 400.7),
-                                         ("pad_len", "400"), ("window_seconds", "2.0")])
-def test_eval_rejects_preprocessing_extra_of_the_wrong_type(workspace, tmp_path, capsys, field, value):
-    # each value would once have been coerced: bool("False") is True, int(400.7) is 400
-    cfg, arrays, extras = enc.load_checkpoint(workspace["run"] / "checkpoint_best.bin")
-    extras[field] = value
-    bad = tmp_path / "bad.bin"
-    enc.save_checkpoint(bad, cfg, {k: nm.constant(v) for k, v in arrays.items()}, extras)
-    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
-    assert rc == 4
-    assert "checkpoint error" in err and f"{field}={value!r}" in err
 
 
 _ASCII_LOCALE = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",

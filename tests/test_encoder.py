@@ -447,16 +447,17 @@ def test_encode_deeper_layouts_run():
 # ---------------------------------------------------------------------------
 # checkpoints
 
+_KINDS = (enc.EncoderConfig, str, int, float, bool)
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     params = _params(TINY, seed=24)
-    extras = {"variant": "lf_avg_gate", "n_classes": 3, "window_seconds": 5.0}
+    header = (TINY, "lf_avg_gate", 3, 5.0, True)
     p = tmp_path / "ck.bin"
-    enc.save_checkpoint(p, TINY, params, extras)
-    cfg2, arrays, extras2 = enc.load_checkpoint(p)
-    assert cfg2 == TINY
-    assert extras2 == extras
-    assert isinstance(extras2["n_classes"], int)
-    assert isinstance(extras2["window_seconds"], float)
+    enc.save_checkpoint(p, _KINDS, header, params)
+    header2, arrays = enc.load_checkpoint(p, _KINDS)
+    assert tuple(header2) == header
+    assert [type(v) for v in header2] == [type(v) for v in header]
     assert set(arrays) == set(params)
     for k in params:
         np.testing.assert_array_equal(arrays[k], params[k].data)
@@ -465,31 +466,26 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 def test_checkpoint_corruption_detected(tmp_path):
     params = _params(TINY, seed=25)
     p = tmp_path / "ck.bin"
-    enc.save_checkpoint(p, TINY, params, {"variant": "lf_avg_gate"})
+    enc.save_checkpoint(p, _KINDS, (TINY, "lf_avg_gate", 3, 5.0, True), params)
     raw = p.read_bytes()
 
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOPE" + raw[4:])
     with pytest.raises(enc.CheckpointError):
-        enc.load_checkpoint(bad)
+        enc.load_checkpoint(bad, _KINDS)
 
     bad.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(enc.CheckpointError):
-        enc.load_checkpoint(bad)
+        enc.load_checkpoint(bad, _KINDS)
 
     bad.write_bytes(raw + b"\x00\x01")
     with pytest.raises(enc.CheckpointError):
-        enc.load_checkpoint(bad)
+        enc.load_checkpoint(bad, _KINDS)
 
     version_bumped = raw[:4] + (99).to_bytes(4, "little") + raw[8:]
     bad.write_bytes(version_bumped)
     with pytest.raises(enc.CheckpointError):
-        enc.load_checkpoint(bad)
+        enc.load_checkpoint(bad, _KINDS)
 
     with pytest.raises(enc.CheckpointError):
-        enc.load_checkpoint(tmp_path / "missing.bin")
-
-
-def test_checkpoint_rejects_unsupported_extra_type(tmp_path):
-    with pytest.raises(enc.CheckpointError):
-        enc.save_checkpoint(tmp_path / "x.bin", TINY, {}, {"bad": [1, 2]})
+        enc.load_checkpoint(tmp_path / "missing.bin", _KINDS)

@@ -103,6 +103,32 @@ def test_filter_design_cache_matches_a_fresh_design():
     assert not sig._bandpass_sos(0.05, 0.5, FS).flags.writeable
 
 
+_NYQUIST = FS / 2.0
+_EDGE = st.one_of(st.floats(0.0, 1e-6, exclude_min=True),   # where the design breaks down
+                  st.floats(0.0, _NYQUIST, exclude_min=True, exclude_max=True),
+                  st.floats(_NYQUIST * (1 - 1e-9), _NYQUIST, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EDGE, _EDGE)
+def test_any_valid_band_filters_to_finite_output_or_raises_data_error(a, b):
+    # every 0 < low < high < Nyquist: a DataError naming the band, or a finite filter;
+    # PreprocessConfig accepts exactly the bands the filter takes
+    low, high = sorted((a, b))
+    if not low < high:
+        return
+    x = np.random.default_rng(2).normal(size=300).astype(np.float32)
+    try:
+        y = sig.bandpass_filter(x, FS, low, high)
+    except sig.DataError as e:
+        assert f"band ({low!r}, {high!r}) Hz" in str(e)
+        with pytest.raises(sig.DataError):
+            sig.PreprocessConfig(filter_low_hz=low, filter_high_hz=high)
+    else:
+        assert np.isfinite(y).all()
+        sig.PreprocessConfig(filter_low_hz=low, filter_high_hz=high)
+
+
 # ---------------------------------------------------------------------------
 # padding and windowing
 

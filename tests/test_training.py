@@ -3,10 +3,11 @@ textbook reference, metrics arithmetic, determinism, and checkpoints."""
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from resppain import numerics as nm
@@ -389,31 +390,56 @@ def test_load_pipeline_draws_no_random_numbers(tmp_path, monkeypatch):
 
 
 def test_load_pipeline_rejects_plain_encoder_checkpoint(tmp_path):
+    # a file whose header holds only an encoder config lacks the pipeline's fields
     params = enc.init_encoder_params(ENC, np.random.default_rng(0))
-    enc.save_checkpoint(tmp_path / "plain.bin", ENC, params, {"variant": "lf_avg_gate"})
-    with pytest.raises(enc.CheckpointError, match="pipeline fields"):
+    enc.save_checkpoint(tmp_path / "plain.bin", (enc.EncoderConfig,), (ENC,), params)
+    with pytest.raises(enc.CheckpointError):
         trn.load_pipeline(tmp_path / "plain.bin")
 
 
-@pytest.mark.parametrize("value", [np.inf, np.nan])
-def test_load_pipeline_rejects_non_finite_pad_len(tmp_path, value):
+def test_checkpoint_header_is_each_field_by_its_declared_type(tmp_path):
+    # the v3 layout spelled out by hand: int u32, float f64, bool u8, str u16 length + UTF-8
     params = trn.init_pipeline_params(ENC, "lf_avg_gate", PREP.n_windows, sig.N_CLASSES,
                                       np.random.default_rng(0))
-    extras = {"variant": "lf_avg_gate", "n_classes": sig.N_CLASSES, **dataclasses.asdict(PREP)}
-    extras["pad_len"] = value   # an int field stored as a float
-    enc.save_checkpoint(tmp_path / "bad.bin", ENC, params, extras)
-    with pytest.raises(enc.CheckpointError, match="preprocessing fields"):
-        trn.load_pipeline(tmp_path / "bad.bin")
+    trn.save_pipeline(tmp_path / "ck.bin", ENC, params, PREP, "lf_avg_gate", sig.N_CLASSES)
+    want = (b"RPCK" + struct.pack("<I", 3)
+            + struct.pack("<6IdIdI", 1, 1, 0, 4, 8, 2, 10.0, 2, 0.1, 8)   # EncoderConfig
+            + struct.pack("<dBddId", 100.0, 1, 0.05, 0.5, 400, 2.0)       # PreprocessConfig
+            + struct.pack("<H", 11) + b"lf_avg_gate" + struct.pack("<I", 3)
+            + struct.pack("<I", len(params)) + struct.pack("<H", 7) + b"latents")
+    assert (tmp_path / "ck.bin").read_bytes()[:len(want)] == want
 
 
-def test_load_pipeline_reads_an_integral_float_field_stored_as_int(tmp_path):
-    params = trn.init_pipeline_params(ENC, "lf_avg_gate", PREP.n_windows, sig.N_CLASSES,
-                                      np.random.default_rng(0))
-    extras = {"variant": "lf_avg_gate", "n_classes": sig.N_CLASSES, **dataclasses.asdict(PREP)}
-    extras["sample_rate_hz"] = int(PREP.sample_rate_hz)   # stored with the int tag
-    enc.save_checkpoint(tmp_path / "int.bin", ENC, params, extras)
-    _, _, prep, _ = trn.load_pipeline(tmp_path / "int.bin")
-    assert prep == PREP and type(prep.sample_rate_hz) is float
+@st.composite
+def _pipeline_settings(draw):
+    cfg = enc.EncoderConfig(depth=draw(st.integers(1, 2)), cross_per_block=draw(st.integers(1, 2)),
+                            self_per_block=draw(st.integers(0, 1)), n_latents=draw(st.integers(1, 3)),
+                            model_dim=draw(st.integers(1, 4)), fourier_bands=draw(st.integers(1, 3)),
+                            max_freq_hz=draw(st.floats(1e-3, 1e3)),
+                            ffn_expansion=draw(st.integers(1, 2)),
+                            dropout=draw(st.floats(0.0, 0.99)), out_dim=draw(st.integers(1, 4)))
+    rate = draw(st.floats(1.0, 1000.0))
+    low = draw(st.floats(0.01, 0.4)) * rate / 2
+    high = low + draw(st.floats(0.01, 1.0)) * (0.99 * rate / 2 - low)
+    w = draw(st.integers(20, 200))   # window samples, so a few windows
+    prep = sig.PreprocessConfig(sample_rate_hz=rate, filter_enabled=draw(st.booleans()), filter_low_hz=low,
+                                filter_high_hz=high, pad_len=draw(st.integers(1, 400)), window_seconds=w / rate)
+    return cfg, prep, draw(st.sampled_from(fus.VARIANTS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pipeline_settings(), st.integers(0, 2**32 - 1))
+def test_pipeline_header_round_trip(tmp_path_factory, settings_, seed):
+    cfg, prep, variant = settings_
+    assume(abs(prep.window_seconds * prep.sample_rate_hz - round(prep.window_seconds * prep.sample_rate_hz)) <= 1e-9)
+    params = trn.init_pipeline_params(cfg, variant, prep.n_windows, sig.N_CLASSES, np.random.default_rng(seed))
+    path = tmp_path_factory.getbasetemp() / "round_trip.bin"
+    trn.save_pipeline(path, cfg, params, prep, variant, sig.N_CLASSES)
+    cfg2, params2, prep2, variant2 = trn.load_pipeline(path)
+    assert (cfg2, prep2, variant2) == (cfg, prep, variant)
+    assert list(params2) == list(params)
+    for k, p in params.items():
+        assert params2[k].data.dtype == p.data.dtype and params2[k].data.tobytes() == p.data.tobytes(), k
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,11 @@ working directory:
 - ``train`` for every ``--fusion`` variant with a micro config (4 latents
   x 8 wide, one self-attention layer, dropout 0.1, augmentation at 0.5,
   4 epochs, ``checkpoint_interval = 2``) into ``OUT/runs/<variant>``
-- ``eval`` of every checkpoint those runs wrote
+- ``eval`` of every checkpoint those runs wrote, plus a digest of what
+  ``training.load_pipeline`` returns for it (every config field, the
+  variant, and a sha256 per tensor) in ``OUT/digests/<variant>_<stem>.txt``;
+  it does not depend on the file format, so two checkouts that write the
+  same payload in different checkpoint layouts give equal digests
 - ``profile``, with default flags and with ``--input-len 600
   --window-seconds 2``
 
@@ -25,6 +29,8 @@ equal code give trees that ``diff -r`` finds identical.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import hashlib
 import os
 import sys
 from pathlib import Path
@@ -33,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from resppain import cli  # noqa: E402
 from resppain import fusion as fus  # noqa: E402
+from resppain import training as trn  # noqa: E402
 
 MICRO_CONFIG = """\
 [data]
@@ -76,6 +83,17 @@ def _run(step: str, argv: list[str]) -> None:
         sys.exit(f"identity_run: {step} ({' '.join(argv)}) exited {rc}")
 
 
+def _digest(checkpoint: Path) -> str:
+    """What load_pipeline returns for a checkpoint, as text independent of the file format."""
+    enc_cfg, params, prep, variant = trn.load_pipeline(checkpoint)
+    lines = [f"{type(c).__name__}.{name} = {value!r}"
+             for c in (enc_cfg, prep) for name, value in dataclasses.asdict(c).items()]
+    lines.append(f"variant = {variant}")
+    lines += [f"{name} {t.data.dtype} {t.data.shape} {hashlib.sha256(t.data.tobytes()).hexdigest()}"
+              for name, t in params.items()]
+    return "\n".join(lines) + "\n"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -84,6 +102,7 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     os.chdir(out)
     Path("stdout").mkdir(exist_ok=True)
+    Path("digests").mkdir(exist_ok=True)
     Path("micro.ini").write_text(MICRO_CONFIG, encoding="utf-8")
     _run("synth", ["synth", "--per-class", "3", "--val-per-class", "2", "--test-per-class", "2",
                    "--duration-s", "4.0", "--seed", "5", "--out", "data"])
@@ -93,6 +112,7 @@ def main(argv: list[str]) -> int:
         for ckpt in sorted(Path("runs", variant).glob("checkpoint_*.bin")):
             _run(f"eval_{variant}_{ckpt.stem}", ["eval", "--checkpoint", str(ckpt),
                                                  "--data", "data/manifest.tsv"])
+            Path("digests", f"{variant}_{ckpt.stem}.txt").write_text(_digest(ckpt), encoding="utf-8")
     _run("profile_default", ["profile"])
     _run("profile_600_2s", ["profile", "--input-len", "600", "--window-seconds", "2"])
     return 0
