@@ -1,0 +1,156 @@
+"""A function mapped over a list on fork-started worker processes.
+
+`Workers(fns, n)` starts n processes, each with one `Pipe` to this one.
+`map(fn, params, items)`, for fn one of `fns`, sends the parameters once
+to each worker, gives worker i the i-th contiguous chunk of `items`, and
+yields `fn(params, item)` for every item in list order.  With n = 1 the
+same map runs in this process, so there is one code path either way.
+
+The workers are forked, not spawned: each sees what this process held
+when it started (records, configs, the closures in `fns`), and only
+parameters, item keys and results cross a pipe.  numpy's OpenBLAS stops
+its thread pool around a fork, so a forked child starts with none.  Each
+worker holds its OpenBLAS to one thread; when numpy's OpenBLAS does not
+expose `set_num_threads`, `worker_count` is 1."""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import pickle
+import signal
+from pathlib import Path
+from typing import Any, Callable, Iterator
+
+import numpy as np
+
+from . import numerics as nm
+from .numerics import Tensor
+
+Fn = Callable[[dict[str, Tensor], Any], Any]
+
+
+@functools.cache
+def _openblas_set_num_threads():
+    """`set_num_threads` of numpy's bundled OpenBLAS, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix in ("scipy_openblas_", "openblas_"):
+            for tail in ("64_", "_64_", ""):
+                fn = getattr(lib, f"{prefix}set_num_threads{tail}", None)
+                if fn is not None:
+                    fn.argtypes = [ctypes.c_int]
+                    return fn
+    return None
+
+
+def worker_count(limit: int) -> int:
+    """min(CPUs this process may run on, limit), or 1 when a worker's BLAS
+    cannot be held to one thread: two processes whose BLAS threads share
+    the cores run slower than one alone."""
+    if _openblas_set_num_threads() is None:
+        return 1
+    return min(len(os.sched_getaffinity(0)), limit)
+
+
+class Workers:
+    """`fns` mapped over contiguous chunks of a list by n fork-started
+    processes, or in this process when n == 1.
+
+    Use it as a context manager: leaving the block closes every pipe and
+    joins every worker, terminating them first when an exception leaves it.
+    """
+
+    def __init__(self, fns: tuple[Fn, ...], n: int):
+        self.fns = fns
+        self.conns: list = []
+        self.procs: list = []
+        if n < 2:
+            return
+        import multiprocessing   # only a pool of two or more pays for the import
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for _ in range(n):
+                conn, child = ctx.Pipe()
+                # a forked child also holds this side of its own and every earlier
+                # pipe; it closes them, so each sees EOF once this process closes its end
+                proc = ctx.Process(target=_serve, args=(child, fns, self.conns + [conn]), daemon=True)
+                proc.start()
+                child.close()
+                self.conns.append(conn)
+                self.procs.append(proc)
+        except BaseException:
+            self.close(terminate=True)
+            raise
+
+    def __enter__(self) -> Workers:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(terminate=exc_type is not None)
+
+    def close(self, terminate: bool = False) -> None:
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            if terminate:
+                proc.terminate()
+            proc.join()
+        self.conns, self.procs = [], []
+
+    def map(self, fn: Fn, params: dict[str, Tensor], items: list) -> Iterator:
+        """fn(params, item) per item, in list order, for fn one of `fns`.  The
+        first item to raise, in list order, raises here when its turn comes."""
+        if not self.procs:
+            for item in items:
+                yield fn(params, item)
+            return
+        k = self.fns.index(fn)
+        n = len(self.procs)
+        bounds = [len(items) * i // n for i in range(n + 1)]
+        blob = pickle.dumps({name: p.data for name, p in params.items()}, pickle.HIGHEST_PROTOCOL)
+        busy = []
+        for conn, proc, lo, hi in zip(self.conns, self.procs, bounds, bounds[1:]):
+            if lo < hi:
+                conn.send_bytes(blob)
+                conn.send((k, items[lo:hi]))
+                busy.append((conn, proc, hi - lo))
+        for conn, proc, count in busy:
+            for _ in range(count):
+                try:
+                    ok, value = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"worker {proc.pid} exited with code {proc.exitcode}") from None
+                if not ok:
+                    raise value
+                yield value
+
+
+def _serve(conn, fns: tuple[Fn, ...], inherited: list) -> None:
+    """A worker: parameters, then (k, chunk) to map, until the parent closes its end."""
+    for c in inherited:
+        c.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent takes Ctrl-C and stops its workers
+    _openblas_set_num_threads()(1)
+    while True:
+        try:
+            arrays = conn.recv()
+            k, items = conn.recv()
+        except EOFError:
+            return
+        params = {name: nm.parameter(a, dtype=a.dtype) for name, a in arrays.items()}
+        del arrays
+        # the whole chunk runs before any result is sent: the parent reads the
+        # chunks in order, so a send here may block until earlier chunks are read
+        results = []
+        for item in items:
+            try:
+                results.append((True, fns[k](params, item)))
+            except Exception as e:
+                results.append((False, e))
+                break
+        for i, result in enumerate(results):
+            results[i] = None
+            conn.send(result)

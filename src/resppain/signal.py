@@ -90,10 +90,12 @@ class PreprocessConfig:
             )
         if self.filter_enabled:   # a band the filter cannot be designed for fails here
             _bandpass_sos(self.filter_low_hz, self.filter_high_hz, self.sample_rate_hz)
+        if not math.isfinite(self.sample_rate_hz):   # with the filter off, inf passes the band check
+            raise DataError(f"sample_rate_hz must be finite, got {self.sample_rate_hz}")
         if self.pad_len < 1:
             raise DataError(f"pad_len must be >= 1, got {self.pad_len}")
-        if self.window_seconds <= 0:
-            raise DataError(f"window_seconds must be positive, got {self.window_seconds}")
+        if not (math.isfinite(self.window_seconds) and self.window_seconds > 0):
+            raise DataError(f"window_seconds must be finite and positive, got {self.window_seconds}")
 
     @property
     def n_windows(self) -> int:
@@ -146,7 +148,12 @@ def bandpass_filter(x: np.ndarray, sample_rate_hz: float,
     padlen = 3 * (2 * sos.shape[0] + 1)
     if x.size <= padlen:
         raise DataError(f"signal of {x.size} samples is too short to filter (needs > {padlen})")
-    y = sosfiltfilt(sos.copy(), x.astype(np.float64))
+    # sosfiltfilt's sosfilt_zi also computes a DC gain it never uses, which
+    # is 0/0 for some accepted bands with a tiny low edge (1e-7 Hz at 100 Hz)
+    with np.errstate(invalid="ignore"):
+        y = sosfiltfilt(sos.copy(), x.astype(np.float64))
+    if not np.isfinite(y).all():
+        raise DataError(f"band ({low_hz}, {high_hz}) Hz at {sample_rate_hz} Hz gave a non-finite output")
     return np.ascontiguousarray(y, dtype=np.float32)
 
 

@@ -4,7 +4,7 @@ A run is fully determined by its seed: parameter init, epoch shuffles,
 augmentation, dropout, and gate sampling each consume a dedicated RNG
 stream derived from (seed, purpose tag, epoch, sample index), so no step
 depends on hidden global state and two runs with equal config are
-bit-identical.
+bit-identical, however many worker processes share a batch.
 
 Per sample the pipeline is: augment (training only) -> band-pass filter
 -> zero-pad to fixed length -> segment into windows -> encode windows and
@@ -26,6 +26,7 @@ from . import augment as aug
 from . import encoder as enc
 from . import fusion as fus
 from . import numerics as nm
+from . import parallel as par
 from . import signal as sig
 from .numerics import Tensor
 
@@ -250,24 +251,29 @@ def metrics_from_confusion(confusion: np.ndarray, mean_loss: float = float("nan"
                          confusion=conf)
 
 
-def _evaluate_prepared(prepared: list[tuple[np.ndarray, np.ndarray, int]],
-                       enc_cfg: enc.EncoderConfig, params: dict[str, Tensor],
-                       variant: str) -> MetricsReport:
-    """Inference over preprocessed (windows, padded, label) triples.
+def _eval_record(item: tuple[np.ndarray, np.ndarray, int], enc_cfg: enc.EncoderConfig,
+                 params: dict[str, Tensor], variant: str) -> tuple[int, float]:
+    """(predicted class, unsmoothed loss) of one preprocessed (windows,
+    padded, label) triple.
 
     Runs outside the tape with no RNG: augmentation, dropout, and gate
     sampling are all inert, so repeat calls are bit-identical.
     """
+    windows, padded, label_idx = item
+    with nm.no_grad():
+        logits, _ = forward_logits(windows, padded, enc_cfg, params, variant,
+                                   training=False, rng=None)
+        return int(np.argmax(logits.data)), smoothed_ce_loss(logits, label_idx, 0.0, sig.N_CLASSES).item()
+
+
+def _report(labels: list[int], rows) -> MetricsReport:
+    """Metrics of (predicted class, loss) rows against their labels."""
     n_classes = sig.N_CLASSES
     conf = np.zeros((n_classes, n_classes), dtype=np.int64)
     losses = []
-    with nm.no_grad():
-        for windows, padded, label_idx in prepared:
-            logits, _ = forward_logits(windows, padded, enc_cfg, params, variant,
-                                       training=False, rng=None)
-            pred = int(np.argmax(logits.data))
-            conf[label_idx, pred] += 1
-            losses.append(smoothed_ce_loss(logits, label_idx, 0.0, n_classes).item())
+    for label_idx, (pred, loss) in zip(labels, rows, strict=True):
+        conf[label_idx, pred] += 1
+        losses.append(loss)
     mean_loss = float(np.mean(losses)) if losses else float("nan")
     return metrics_from_confusion(conf, mean_loss)
 
@@ -278,7 +284,9 @@ def evaluate(records: list[sig.RespirationRecord], enc_cfg: enc.EncoderConfig,
     """Full-pipeline evaluation of raw records (no augmentation)."""
     if not records:
         raise sig.DataError("evaluate needs at least one record")
-    return _evaluate_prepared(_prepare(records, prep), enc_cfg, params, variant)
+    prepared = _prepare(records, prep)
+    return _report([item[2] for item in prepared],
+                   (_eval_record(item, enc_cfg, params, variant) for item in prepared))
 
 
 # ---------------------------------------------------------------------------
@@ -366,50 +374,74 @@ def train(train_records: list[sig.RespirationRecord],
     best_epoch, best_acc = -1, -1.0
     best_params: dict[str, Tensor] = {}
     n = len(train_records)
+    val_labels = [item[2] for item in val_prepared]
 
-    for epoch in range(train_cfg.epochs):
-        lr = lr_at_epoch(epoch, train_cfg)
-        order = stream(train_cfg.seed, _TAG_SHUFFLE, epoch).permutation(n)
-        hist = np.zeros(fus.N_ROUTES, dtype=np.int64)
-        epoch_losses = []
-        for start in range(0, n, train_cfg.batch_size):
-            batch = order[start:start + train_cfg.batch_size]
-            for idx in batch:
-                rec = train_records[int(idx)]
-                x = rec.samples
-                if train_cfg.augment_enabled:
-                    x = aug.apply_augmentations(x, aug_cfg, stream(train_cfg.seed, _TAG_AUGMENT, epoch, int(idx)))
-                windows, padded = preprocess(x, prep)
-                rng_model = stream(train_cfg.seed, _TAG_MODEL, epoch, int(idx))
-                logits, route = forward_logits(windows, padded, enc_cfg, params, variant,
-                                               training=True, rng=rng_model)
-                loss = smoothed_ce_loss(logits, rec.label.index, train_cfg.label_smoothing, n_classes)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise NumericalError(f"non-finite loss {value} at epoch {epoch}, "
-                                         f"record {rec.subject_id!r}; aborting")
-                epoch_losses.append(value)
-                if route is not None:
-                    hist[route] += 1
-                nm.backward(nm.scale(loss, 1.0 / len(batch)))
-            for name, p in params.items():
-                if p.grad is not None and not np.isfinite(p.grad).all():
-                    raise NumericalError(f"non-finite gradient for parameter {name!r} at epoch {epoch}; "
-                                         f"aborting before the optimizer step")
-            optimizer.step(params, lr)
+    def train_sample(params: dict[str, Tensor], job: tuple[int, int, int]):
+        """(loss, route, {name: gradient}) of one sample of a batch of batch_len."""
+        epoch, idx, batch_len = job
+        rec = train_records[idx]
+        x = rec.samples
+        if train_cfg.augment_enabled:
+            x = aug.apply_augmentations(x, aug_cfg, stream(train_cfg.seed, _TAG_AUGMENT, epoch, idx))
+        windows, padded = preprocess(x, prep)
+        rng_model = stream(train_cfg.seed, _TAG_MODEL, epoch, idx)
+        logits, route = forward_logits(windows, padded, enc_cfg, params, variant,
+                                       training=True, rng=rng_model)
+        loss = smoothed_ce_loss(logits, rec.label.index, train_cfg.label_smoothing, n_classes)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite loss {value} at epoch {epoch}, "
+                                 f"record {rec.subject_id!r}; aborting")
+        nm.backward(nm.scale(loss, 1.0 / batch_len))
+        grads = {}
+        for name, p in params.items():
+            if p.grad is not None:
+                grads[name], p.grad = p.grad, None
+        return value, route, grads
 
-        train_loss = float(np.mean(epoch_losses))
-        report = _evaluate_prepared(val_prepared, enc_cfg, params, variant)
-        metrics_lines.append(_format_row(epoch, lr, train_loss, report, hist))
-        val_reports.append(report)
-        loss_curve.append(train_loss)
-        if report.macro_accuracy > best_acc:
-            best_epoch, best_acc = epoch, report.macro_accuracy
-            best_params = dict(params)
-        if out_path is not None and train_cfg.checkpoint_interval > 0 \
-                and (epoch + 1) % train_cfg.checkpoint_interval == 0:
-            save_pipeline(out_path / f"checkpoint_epoch{epoch + 1:03d}.bin",
-                          enc_cfg, params, prep, variant, n_classes)
+    def eval_record(params: dict[str, Tensor], i: int) -> tuple[int, float]:
+        return _eval_record(val_prepared[i], enc_cfg, params, variant)
+
+    # Each sample's gradient is its own backward pass, summed in batch order:
+    # the float32 additions a one-process loop makes, whichever worker
+    # computed the sample.  The sum waits in `total`, not .grad, because an
+    # in-process map runs on these very parameters.
+    with par.Workers((train_sample, eval_record), par.worker_count(train_cfg.batch_size)) as pool:
+        for epoch in range(train_cfg.epochs):
+            lr = lr_at_epoch(epoch, train_cfg)
+            order = stream(train_cfg.seed, _TAG_SHUFFLE, epoch).permutation(n)
+            hist = np.zeros(fus.N_ROUTES, dtype=np.int64)
+            epoch_losses = []
+            for start in range(0, n, train_cfg.batch_size):
+                batch = order[start:start + train_cfg.batch_size]
+                jobs = [(epoch, int(idx), len(batch)) for idx in batch]
+                total: dict[str, np.ndarray] = {}
+                for value, route, grads in pool.map(train_sample, params, jobs):
+                    epoch_losses.append(value)
+                    if route is not None:
+                        hist[route] += 1
+                    for name, g in grads.items():
+                        total[name] = total[name] + g if name in total else g
+                for name, g in total.items():
+                    params[name].grad = g
+                for name, p in params.items():
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise NumericalError(f"non-finite gradient for parameter {name!r} at epoch {epoch}; "
+                                             f"aborting before the optimizer step")
+                optimizer.step(params, lr)
+
+            train_loss = float(np.mean(epoch_losses))
+            report = _report(val_labels, pool.map(eval_record, params, list(range(len(val_prepared)))))
+            metrics_lines.append(_format_row(epoch, lr, train_loss, report, hist))
+            val_reports.append(report)
+            loss_curve.append(train_loss)
+            if report.macro_accuracy > best_acc:
+                best_epoch, best_acc = epoch, report.macro_accuracy
+                best_params = dict(params)
+            if out_path is not None and train_cfg.checkpoint_interval > 0 \
+                    and (epoch + 1) % train_cfg.checkpoint_interval == 0:
+                save_pipeline(out_path / f"checkpoint_epoch{epoch + 1:03d}.bin",
+                              enc_cfg, params, prep, variant, n_classes)
 
     result = TrainResult(params=params, variant=variant, metrics_lines=metrics_lines,
                          val_reports=val_reports, train_loss_curve=loss_curve, best_epoch=best_epoch)

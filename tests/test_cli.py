@@ -367,13 +367,13 @@ def test_train_rejects_a_record_it_cannot_take_before_any_step(tmp_path, capsys,
     cfg = tmp_path / "micro.ini"
     cfg.write_text(MICRO_CONFIG.replace("[data]\n", f"[data]\nfilter_enabled = {filter_enabled}\n")
                    + f"\n[augment]\nmask_prob = {mask_prob}\n")
-    calls, real_backward = [], nm.backward
+    calls, real_step = [], trn.Adam.step
 
-    def counting_backward(loss):
-        calls.append(loss)
-        return real_backward(loss)
+    def counting_step(self, params, lr):
+        calls.append(lr)
+        return real_step(self, params, lr)
 
-    monkeypatch.setattr(nm, "backward", counting_backward)
+    monkeypatch.setattr(trn.Adam, "step", counting_step)
     rc = cli.main(["train", "--config", str(cfg), "--data", str(data / "manifest.tsv"),
                    "--out", str(tmp_path / "run")])
     if mask_prob == "0.0,0.0" and not filter_enabled:
@@ -589,9 +589,15 @@ def test_eval_rejects_header_bool_byte_other_than_0_or_1(workspace, tmp_path, ca
 @pytest.mark.parametrize("field,value,named", [("window_seconds", float("nan"), "window"),
                                                ("sample_rate_hz", float("inf"), "at inf Hz"),
                                                ("pad_len", 0, "pad_len"),
-                                               ("depth", 0, "depth")])
+                                               ("depth", 0, "depth"),
+                                               ("window_seconds", float("nan"), "window_seconds must be finite"),
+                                               # several fields: comma-separated names, one value each
+                                               ("filter_enabled,sample_rate_hz", (False, float("inf")),
+                                                "sample_rate_hz must be finite")])
 def test_eval_rejects_header_field_that_fails_its_dataclass_check(workspace, tmp_path, capsys, field, value, named):
-    bad = _with_header_field(workspace["run"] / "checkpoint_best.bin", tmp_path / "bad.bin", field, value)
+    bad = workspace["run"] / "checkpoint_best.bin"
+    for name, v in zip(field.split(","), value if isinstance(value, tuple) else (value,)):
+        bad = _with_header_field(bad, tmp_path / "bad.bin", name, v)
     rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
     assert rc == 4
     assert "checkpoint error" in err and named in err

@@ -103,6 +103,17 @@ def test_filter_design_cache_matches_a_fresh_design():
     assert not sig._bandpass_sos(0.05, 0.5, FS).flags.writeable
 
 
+def test_tiny_low_edge_filters_without_a_warning():
+    # sosfilt_zi's unused DC gain is 0/0 for this band; the output is finite
+    x = _tone(0.2, 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = sig.bandpass_filter(x, FS, low_hz=1e-7, high_hz=0.5)
+    assert np.isfinite(y).all()
+    with pytest.raises(sig.DataError, match=r"band \(1e-07, 0.5\) Hz .* non-finite output"):
+        sig.bandpass_filter(np.where(np.arange(x.size) == 100, np.nan, x), FS, low_hz=1e-7, high_hz=0.5)
+
+
 _NYQUIST = FS / 2.0
 _EDGE = st.one_of(st.floats(0.0, 1e-6, exclude_min=True),   # where the design breaks down
                   st.floats(0.0, _NYQUIST, exclude_min=True, exclude_max=True),
@@ -192,6 +203,10 @@ def test_preprocess_config_validation_and_n_windows():
         sig.PreprocessConfig(pad_len=0)
     with pytest.raises(sig.DataError):
         sig.PreprocessConfig(window_seconds=-1.0)
+    with pytest.raises(sig.DataError, match="window_seconds must be finite"):
+        sig.PreprocessConfig(window_seconds=float("nan"))
+    with pytest.raises(sig.DataError, match="sample_rate_hz must be finite"):
+        sig.PreprocessConfig(sample_rate_hz=float("inf"), filter_enabled=False)
 
 
 # ---------------------------------------------------------------------------

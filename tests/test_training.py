@@ -3,6 +3,8 @@ textbook reference, metrics arithmetic, determinism, and checkpoints."""
 
 import dataclasses
 import math
+import multiprocessing
+import os
 import struct
 
 import numpy as np
@@ -13,6 +15,7 @@ import oracles
 from resppain import numerics as nm
 from resppain import encoder as enc
 from resppain import fusion as fus
+from resppain import parallel as par
 from resppain import signal as sig
 from resppain import training as trn
 
@@ -295,30 +298,111 @@ def test_train_numerical_abort(monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_train_aborts_on_non_finite_gradient(monkeypatch, bad):
-    # the loss stays finite; one gradient entry is forced non-finite after
-    # backward, and the optimizer must never see it
+    # the loss stays finite; one entry of the first per-sample gradient the
+    # training loop receives is forced non-finite, and the optimizer must never see it
     records = _dataset()
-    real_init, real_backward = trn.init_pipeline_params, nm.backward
-    target = {}
+    real_map = par.Workers.map
 
-    def capture(*args, **kw):
-        params = real_init(*args, **kw)
-        target["t"] = params["proj.b"]
-        return params
-
-    def poisoned_backward(loss):
-        grads = real_backward(loss)
-        target["t"].grad[0] = bad
-        return grads
+    def poisoned_map(self, fn, params, items):
+        for i, result in enumerate(real_map(self, fn, params, items)):
+            if i == 0 and len(result) == 3:   # a training sample's (loss, route, gradients)
+                g = result[2]["proj.b"] = result[2]["proj.b"].copy()
+                g[0] = bad
+            yield result
 
     def no_step(self, params, lr):
         raise AssertionError("optimizer stepped on a non-finite gradient")
 
-    monkeypatch.setattr(trn, "init_pipeline_params", capture)
-    monkeypatch.setattr(nm, "backward", poisoned_backward)
+    monkeypatch.setattr(par.Workers, "map", poisoned_map)
     monkeypatch.setattr(trn.Adam, "step", no_step)
     with pytest.raises(trn.NumericalError, match="'proj.b'"):
         trn.train(records, records, ENC, _quick_cfg(), PREP)
+
+
+# ---------------------------------------------------------------------------
+# sample-parallel training
+
+def _params_bytes(params):
+    return b"".join(params[k].data.tobytes() for k in sorted(params))
+
+
+def test_train_in_one_process_matches_the_workers(monkeypatch):
+    # the real CPU set splits each batch of n_cpus + 1 unevenly across the workers;
+    # one CPU runs the same map in process
+    n_cpus = len(os.sched_getaffinity(0))
+    cfg = _quick_cfg(batch_size=n_cpus + 1, fusion_variant="lf_avg_gate", augment_enabled=True)
+    assert ENC.dropout > 0
+    records = _dataset()
+    spread = trn.train(records, records, ENC, cfg, PREP)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = trn.train(records, records, ENC, cfg, PREP)
+    assert spread.metrics_text == alone.metrics_text
+    assert _params_bytes(spread.params) == _params_bytes(alone.params)
+
+
+def _recording_worker_pids(monkeypatch) -> list[int]:
+    pids, real_init = [], par.Workers.__init__
+
+    def init(self, fns, n):
+        real_init(self, fns, n)
+        pids.extend(proc.pid for proc in self.procs)
+
+    monkeypatch.setattr(par.Workers, "__init__", init)
+    return pids
+
+
+def _poisoned_init(real_init):
+    def poisoned(*args, **kw):
+        params = real_init(*args, **kw)
+        params["proj.b"] = nm.parameter(np.full(params["proj.b"].shape, np.nan, dtype=np.float32))
+        return params
+    return poisoned
+
+
+def _failing_augmentation(samples, message):
+    """apply_augmentations that raises DataError(message) for the record holding `samples`."""
+    real = trn.aug.apply_augmentations
+
+    def augment(x, cfg, rng):
+        if x is samples:
+            raise sig.DataError(message)
+        return real(x, cfg, rng)
+    return augment
+
+
+@pytest.mark.parametrize("exit_by", ["return", "numerical_error", "data_error"])
+def test_no_worker_outlives_train(monkeypatch, exit_by):
+    records = _dataset()
+    pids = _recording_worker_pids(monkeypatch)
+    if exit_by == "numerical_error":
+        monkeypatch.setattr(trn, "init_pipeline_params", _poisoned_init(trn.init_pipeline_params))
+    elif exit_by == "data_error":
+        monkeypatch.setattr(trn.aug, "apply_augmentations", _failing_augmentation(records[-1].samples, "bad"))
+    expected = {"return": None, "numerical_error": trn.NumericalError, "data_error": sig.DataError}[exit_by]
+    if expected is None:
+        trn.train(records, records, ENC, _quick_cfg(), PREP)
+    else:
+        with pytest.raises(expected):
+            trn.train(records, records, ENC, _quick_cfg(), PREP)
+    assert multiprocessing.active_children() == []
+    if len(os.sched_getaffinity(0)) > 1:
+        assert pids
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_train_raises_the_earliest_failure_in_batch_order(monkeypatch):
+    # one batch of six over the workers; positions 2 and 3 fail, in different
+    # workers when there are two, and position 3 fails first in time
+    records = _dataset()
+    cfg = _quick_cfg(batch_size=len(records))
+    order = trn.stream(cfg.seed, trn._TAG_SHUFFLE, 0).permutation(len(records))
+    first, second = (records[int(i)] for i in order[2:4])
+    monkeypatch.setattr(trn.aug, "apply_augmentations", _failing_augmentation(first.samples, "batch position 2"))
+    monkeypatch.setattr(trn.aug, "apply_augmentations", _failing_augmentation(second.samples, "batch position 3"))
+    with pytest.raises(sig.DataError, match="^batch position 2$"):
+        trn.train(records, records, ENC, cfg, PREP)
 
 
 def test_train_and_evaluate_reject_mismatched_sample_rate():
