@@ -233,6 +233,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError(f"--per-class must be >= 1, got {args.per_class}")
     if args.val_per_class < 0 or args.test_per_class < 0:
         raise ConfigError("--val-per-class and --test-per-class must be >= 0")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if min(args.duration_s, args.sample_rate_hz) <= 0:
         raise ConfigError(f"--duration-s and --sample-rate-hz must be > 0, "
                           f"got {args.duration_s} and {args.sample_rate_hz}")
@@ -309,7 +311,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         raise ConfigError(f"--input-len must be >= 1, got {args.input_len}")
     defaults = enc.EncoderConfig()
     n_windows = sig.n_windows_for(args.input_len, args.window_seconds, sig.SAMPLE_RATE_HZ)
-    window_samples = int(round(args.window_seconds * sig.SAMPLE_RATE_HZ))
+    window_samples = sig._window_samples(args.window_seconds, sig.SAMPLE_RATE_HZ)
     print(f"encoder grid at n_latents={defaults.n_latents}, model_dim={defaults.model_dim}, "
           f"window of {window_samples} samples:")
     print(f"{'depth':>5} {'cross':>5} {'self':>5} {'params(M)':>10} {'ref(M)':>7} {'dev%':>7} "

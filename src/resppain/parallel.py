@@ -1,17 +1,19 @@
 """A function mapped over a list on fork-started worker processes.
 
-`Workers(fns, n)` starts n processes, each with one `Pipe` to this one.
-`map(fn, params, items)`, for fn one of `fns`, sends the parameters once
-to each worker, gives worker i the i-th contiguous chunk of `items`, and
-yields `fn(params, item)` for every item in list order.  With n = 1 the
-same map runs in this process, so there is one code path either way.
+`Workers(fns, limit)` starts n = min(CPUs this process may run on,
+limit) processes, each with one `Pipe` to this one.  `map(fn, params,
+items)`, for fn one of `fns`, sends the parameters once to each worker,
+gives worker i the i-th contiguous chunk of `items`, and yields
+`fn(params, item)` for every item in list order.  With n = 1 the same map
+runs in this process, so there is one code path either way.
 
 The workers are forked, not spawned: each sees what this process held
 when it started (records, configs, the closures in `fns`), and only
 parameters, item keys and results cross a pipe.  numpy's OpenBLAS stops
 its thread pool around a fork, so a forked child starts with none.  Each
 worker holds its OpenBLAS to one thread; when numpy's OpenBLAS does not
-expose `set_num_threads`, `worker_count` is 1."""
+expose `set_num_threads`, n is 1: two processes whose BLAS threads share
+the cores run slower than one alone."""
 
 from __future__ import annotations
 
@@ -45,27 +47,19 @@ def _openblas_set_num_threads():
     return None
 
 
-def worker_count(limit: int) -> int:
-    """min(CPUs this process may run on, limit), or 1 when a worker's BLAS
-    cannot be held to one thread: two processes whose BLAS threads share
-    the cores run slower than one alone."""
-    if _openblas_set_num_threads() is None:
-        return 1
-    return min(len(os.sched_getaffinity(0)), limit)
-
-
 class Workers:
     """`fns` mapped over contiguous chunks of a list by n fork-started
-    processes, or in this process when n == 1.
+    processes, or in this process when n == 1 (see the module docstring).
 
     Use it as a context manager: leaving the block closes every pipe and
     joins every worker, terminating them first when an exception leaves it.
     """
 
-    def __init__(self, fns: tuple[Fn, ...], n: int):
+    def __init__(self, fns: tuple[Fn, ...], limit: int):
         self.fns = fns
         self.conns: list = []
         self.procs: list = []
+        n = min(len(os.sched_getaffinity(0)), limit) if _openblas_set_num_threads() else 1
         if n < 2:
             return
         import multiprocessing   # only a pool of two or more pays for the import

@@ -79,6 +79,8 @@ class TrainConfig:
             raise ValueError(f"unknown fusion variant {self.fusion_variant!r}; expected one of {fus.VARIANTS}")
         if self.checkpoint_interval < 0:
             raise ValueError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
@@ -122,7 +124,8 @@ class Adam:
     """Standard Adam with bias correction, at the usual fixed betas and eps.
 
     Parameters are immutable tensors, so a step replaces each entry of the
-    param dict with a fresh leaf holding the updated values.
+    param dict that `grads` names with a fresh leaf holding the updated
+    values, and keeps the rest.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -135,14 +138,12 @@ class Adam:
     def describe(self) -> str:
         return f"adam(beta1={self.BETA1}, beta2={self.BETA2}, eps={self.EPS}, weight_decay=0)"
 
-    def step(self, params: dict[str, Tensor], lr: float) -> None:
+    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray], lr: float) -> None:
         self.t += 1
         c1 = 1.0 - self.BETA1 ** self.t
         c2 = 1.0 - self.BETA2 ** self.t
-        for name, p in params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
+        for name, g in grads.items():
+            p = params[name]
             m = self.BETA1 * self.m.get(name, 0.0) + (1.0 - self.BETA1) * g
             v = self.BETA2 * self.v.get(name, 0.0) + (1.0 - self.BETA2) * (g * g)
             self.m[name], self.v[name] = m, v
@@ -404,9 +405,8 @@ def train(train_records: list[sig.RespirationRecord],
 
     # Each sample's gradient is its own backward pass, summed in batch order:
     # the float32 additions a one-process loop makes, whichever worker
-    # computed the sample.  The sum waits in `total`, not .grad, because an
-    # in-process map runs on these very parameters.
-    with par.Workers((train_sample, eval_record), par.worker_count(train_cfg.batch_size)) as pool:
+    # computed the sample.
+    with par.Workers((train_sample, eval_record), train_cfg.batch_size) as pool:
         for epoch in range(train_cfg.epochs):
             lr = lr_at_epoch(epoch, train_cfg)
             order = stream(train_cfg.seed, _TAG_SHUFFLE, epoch).permutation(n)
@@ -423,12 +423,10 @@ def train(train_records: list[sig.RespirationRecord],
                     for name, g in grads.items():
                         total[name] = total[name] + g if name in total else g
                 for name, g in total.items():
-                    params[name].grad = g
-                for name, p in params.items():
-                    if p.grad is not None and not np.isfinite(p.grad).all():
+                    if not np.isfinite(g).all():
                         raise NumericalError(f"non-finite gradient for parameter {name!r} at epoch {epoch}; "
                                              f"aborting before the optimizer step")
-                optimizer.step(params, lr)
+                optimizer.step(params, total, lr)
 
             train_loss = float(np.mean(epoch_losses))
             report = _report(val_labels, pool.map(eval_record, params, list(range(len(val_prepared)))))

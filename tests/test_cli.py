@@ -121,7 +121,8 @@ def test_synth_rejects_bad_counts(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag,value,code", [("--duration-s", "nan", 2), ("--duration-s", "inf", 2),
                                              ("--duration-s", "-5", 2), ("--sample-rate-hz", "nan", 2),
-                                             ("--duration-s", "1e300", 3), ("--duration-s", "0.001", 3)])
+                                             ("--duration-s", "1e300", 3), ("--duration-s", "0.001", 3),
+                                             ("--seed", "-1", 2)])
 def test_synth_rejects_bad_duration_and_rate(tmp_path, capsys, flag, value, code):
     # non-finite or non-positive flags are usage errors; a product that
     # rounds to no sample count in [1, intp max] is a data error
@@ -217,6 +218,17 @@ def test_non_finite_window_seconds_flag_rejected(tmp_path, capsys):
                 cli.main(argv + ["--window-seconds", value])
             assert e.value.code == 2
             assert "--window-seconds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
+def test_negative_train_seed_is_a_config_error(tmp_path, capsys, by_flag):
+    cfg = tmp_path / "seed.ini"
+    cfg.write_text("[train]\n" if by_flag else "[train]\nseed = -5\n")
+    rc = cli.main(["train", "--config", str(cfg), "--data", "whatever.tsv",
+                   "--out", str(tmp_path / "run")] + (["--seed", "-1"] if by_flag else []))
+    assert rc == 2
+    assert f"config error: seed must be >= 0, got {-1 if by_flag else -5}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_undecodable_config_rejected(tmp_path, capsys):
@@ -369,9 +381,9 @@ def test_train_rejects_a_record_it_cannot_take_before_any_step(tmp_path, capsys,
                    + f"\n[augment]\nmask_prob = {mask_prob}\n")
     calls, real_step = [], trn.Adam.step
 
-    def counting_step(self, params, lr):
+    def counting_step(self, params, grads, lr):
         calls.append(lr)
-        return real_step(self, params, lr)
+        return real_step(self, params, grads, lr)
 
     monkeypatch.setattr(trn.Adam, "step", counting_step)
     rc = cli.main(["train", "--config", str(cfg), "--data", str(data / "manifest.tsv"),

@@ -77,6 +77,8 @@ def test_train_config_validation():
         trn.TrainConfig(fusion_variant="bogus")
     with pytest.raises(ValueError):
         trn.TrainConfig(checkpoint_interval=-1)
+    with pytest.raises(ValueError, match="seed"):
+        trn.TrainConfig(seed=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +134,7 @@ def test_adam_matches_reference_sequence():
     params = {k: nm.parameter(v, dtype=np.float64) for k, v in init.items()}
     opt = trn.Adam()
     for grads in grad_seq:
-        for k in params:
-            params[k].grad = grads[k].copy()
-        opt.step(params, lr=0.01)
+        opt.step(params, {k: g.copy() for k, g in grads.items()}, lr=0.01)
 
     want = oracles.adam_reference(grad_seq, init, lr=0.01)
     for k in params:
@@ -149,7 +149,7 @@ def test_adam_step_leaves_no_gradient_behind():
     params = {k: nm.parameter(rng.normal(size=3), dtype=np.float64) for k in "abcd"}
     nm.backward(nm.sum_all(nm.mul(params["a"], params["c"])))
     before = dict(params)
-    trn.Adam().step(params, lr=0.01)
+    trn.Adam().step(params, {k: params[k].grad for k in "ac"}, lr=0.01)
     assert all(p.grad is None for p in params.values())
     assert params["b"] is before["b"] and params["d"] is before["d"]
     assert params["a"] is not before["a"] and params["c"] is not before["c"]
@@ -159,11 +159,20 @@ def test_adam_skips_parameters_without_gradients():
     p = nm.parameter(np.ones(3), dtype=np.float64)
     frozen = nm.parameter(np.full(3, 7.0), dtype=np.float64)
     params = {"p": p, "frozen": frozen}
-    p.grad = np.ones(3)
-    trn.Adam().step(params, lr=0.1)
+    trn.Adam().step(params, {"p": np.ones(3)}, lr=0.1)
     assert params["frozen"] is frozen
     assert not np.array_equal(params["p"].data, p.data) or params["p"] is not p
     np.testing.assert_array_equal(params["frozen"].data, np.full(3, 7.0))
+
+
+def test_adam_reads_only_the_gradients_it_is_given():
+    # a gradient left in .grad is not the step's to take: only `grads` is read
+    rng = np.random.default_rng(4)
+    params = {k: nm.parameter(rng.normal(size=3), dtype=np.float64) for k in "ab"}
+    stale = params["b"]
+    stale.grad = np.ones(3)
+    trn.Adam().step(params, {"a": np.ones(3)}, lr=0.1)
+    assert params["b"] is stale
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +319,7 @@ def test_train_aborts_on_non_finite_gradient(monkeypatch, bad):
                 g[0] = bad
             yield result
 
-    def no_step(self, params, lr):
+    def no_step(self, params, grads, lr):
         raise AssertionError("optimizer stepped on a non-finite gradient")
 
     monkeypatch.setattr(par.Workers, "map", poisoned_map)
