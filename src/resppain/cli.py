@@ -223,7 +223,7 @@ def serialize_settings(s: RunSettings) -> str:
 def _make_out_dir(path: str) -> Path:
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as e:   # a file where the directory must be
+    except OSError as e:   # say a file where the directory must be, or a name too long
         raise ConfigError(f"--out {path} cannot be a directory: {e.strerror}") from e
     return Path(path)
 

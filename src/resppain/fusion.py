@@ -27,7 +27,6 @@ from . import numerics as nm
 from .encoder import ParamRow, draw_params, linear_rows
 from .numerics import Tensor
 
-GATE_TAU = 1.0
 N_ROUTES = 4
 
 
@@ -120,10 +119,9 @@ def gumbel_gate(routes: list[Tensor], gate_g: Tensor, training: bool,
                 rng: np.random.Generator | None) -> tuple[Tensor, int]:
     """Route selection; returns (final logits, selected route index).
 
-    Training: perturb the gate scores with Gumbel noise, take the hard
-    one-hot of softmax((g + noise) / GATE_TAU), and let gradients flow
-    through the soft weights (straight-through).  Inference: argmax(g),
-    exact copy of that route's logits, nothing sampled.
+    Training: take the hard one-hot of softmax(g + noise), for Gumbel
+    noise, with gradients through the soft weights (straight-through).
+    Inference: argmax(g), exact copy of that route's logits, nothing sampled.
     """
     if gate_g.shape != (N_ROUTES,):
         raise nm.ShapeError(f"gate expects {N_ROUTES} scores, got shape {gate_g.shape}")
@@ -133,7 +131,7 @@ def gumbel_gate(routes: list[Tensor], gate_g: Tensor, training: bool,
     if rng is None:
         raise ValueError("gumbel_gate in training mode needs an explicit rng")
     noise = sample_gumbel(rng, (N_ROUTES,))
-    soft = nm.softmax_rows(nm.scale(nm.add_const(gate_g, noise), 1.0 / GATE_TAU))
+    soft = nm.softmax_rows(nm.add_const(gate_g, noise))
     chosen = int(np.argmax(soft.data))
     one_hot = np.zeros(N_ROUTES, dtype=soft.data.dtype)
     one_hot[chosen] = 1.0

@@ -1,16 +1,16 @@
 """A function mapped over a list on fork-started worker processes.
 
-`Workers(fns, limit)` starts n = min(CPUs this process may run on,
-limit) processes, each with one `Pipe` to this one.  `map(fn, params,
-items)`, for fn one of `fns`, sends the parameters once to each worker,
-gives worker i the i-th contiguous chunk of `items`, and yields
-`fn(params, item)` for every item in list order.  With n = 1 the same map
-runs in this process, so there is one code path either way.
+`Workers(fns, limit, load)` starts n = min(CPUs this process may run on,
+limit) processes, each with one `Pipe` to this one.  `map(fn, shared,
+items)`, for fn one of `fns`, pickles `shared` once for all workers, and
+each applies `load` to it once; worker i takes the i-th contiguous chunk
+of `items`, and the map yields `fn(load(shared), item)` for every item in
+list order.  With n = 1 the same map, `load` included, runs in this process.
 
 The workers are forked, not spawned: each sees what this process held
-when it started (records, configs, the closures in `fns`), and only
-parameters, item keys and results cross a pipe.  numpy's OpenBLAS stops
-its thread pool around a fork, so a forked child starts with none.  Each
+when it started (records, configs, `fns` and `load`), and only shared
+values, item keys and results cross a pipe.  numpy's OpenBLAS stops its
+thread pool around a fork, so a forked child starts with none.  Each
 worker holds its OpenBLAS to one thread; when numpy's OpenBLAS does not
 expose `set_num_threads`, n is 1: two processes whose BLAS threads share
 the cores run slower than one alone."""
@@ -27,10 +27,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from . import numerics as nm
-from .numerics import Tensor
-
-Fn = Callable[[dict[str, Tensor], Any], Any]
+Fn = Callable[[Any, Any], Any]
 
 
 @functools.cache
@@ -55,8 +52,8 @@ class Workers:
     joins every worker, terminating them first when an exception leaves it.
     """
 
-    def __init__(self, fns: tuple[Fn, ...], limit: int):
-        self.fns = fns
+    def __init__(self, fns: tuple[Fn, ...], limit: int, load: Callable[[Any], Any]):
+        self.fns, self.load = fns, load
         self.conns: list = []
         self.procs: list = []
         n = min(len(os.sched_getaffinity(0)), limit) if _openblas_set_num_threads() else 1
@@ -69,7 +66,7 @@ class Workers:
                 conn, child = ctx.Pipe()
                 # a forked child also holds this side of its own and every earlier
                 # pipe; it closes them, so each sees EOF once this process closes its end
-                proc = ctx.Process(target=_serve, args=(child, fns, self.conns + [conn]), daemon=True)
+                proc = ctx.Process(target=_serve, args=(child, fns, load, self.conns + [conn]), daemon=True)
                 proc.start()
                 child.close()
                 self.conns.append(conn)
@@ -93,17 +90,17 @@ class Workers:
             proc.join()
         self.conns, self.procs = [], []
 
-    def map(self, fn: Fn, params: dict[str, Tensor], items: list) -> Iterator:
-        """fn(params, item) per item, in list order, for fn one of `fns`.  The
-        first item to raise, in list order, raises here when its turn comes."""
+    def map(self, fn: Fn, shared: Any, items: list) -> Iterator:
+        """fn(load(shared), item) per item, in list order, for fn one of `fns`.
+        The first item to raise, in list order, raises here when its turn comes."""
         if not self.procs:
-            for item in items:
-                yield fn(params, item)
+            value = self.load(shared)
+            yield from (fn(value, item) for item in items)
             return
         k = self.fns.index(fn)
         n = len(self.procs)
         bounds = [len(items) * i // n for i in range(n + 1)]
-        blob = pickle.dumps({name: p.data for name, p in params.items()}, pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(shared, pickle.HIGHEST_PROTOCOL)
         busy = []
         for conn, proc, lo, hi in zip(self.conns, self.procs, bounds, bounds[1:]):
             if lo < hi:
@@ -122,26 +119,24 @@ class Workers:
                 yield value
 
 
-def _serve(conn, fns: tuple[Fn, ...], inherited: list) -> None:
-    """A worker: parameters, then (k, chunk) to map, until the parent closes its end."""
+def _serve(conn, fns: tuple[Fn, ...], load: Callable[[Any], Any], inherited: list) -> None:
+    """A worker: a shared value, then (k, chunk) to map, until the parent closes its end."""
     for c in inherited:
         c.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent takes Ctrl-C and stops its workers
     _openblas_set_num_threads()(1)
     while True:
         try:
-            arrays = conn.recv()
+            value = load(conn.recv())
             k, items = conn.recv()
         except EOFError:
             return
-        params = {name: nm.parameter(a, dtype=a.dtype) for name, a in arrays.items()}
-        del arrays
         # the whole chunk runs before any result is sent: the parent reads the
         # chunks in order, so a send here may block until earlier chunks are read
         results = []
         for item in items:
             try:
-                results.append((True, fns[k](params, item)))
+                results.append((True, fns[k](value, item)))
             except Exception as e:
                 results.append((False, e))
                 break

@@ -121,34 +121,33 @@ def smoothed_ce_loss(logits: Tensor, target_index: int, smoothing: float, n_clas
 # optimizer
 
 class Adam:
-    """Standard Adam with bias correction, at the usual fixed betas and eps.
-
-    Parameters are immutable tensors, so a step replaces each entry of the
-    param dict that `grads` names with a fresh leaf holding the updated
-    values, and keeps the rest.
-    """
+    """Standard Adam with bias correction, at the usual fixed betas and eps,
+    over one parameter vector.  `step(x, grad, lr)` returns the next vector
+    and writes neither argument; the two moment vectors update in place."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
     def __init__(self):
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = None
 
     def describe(self) -> str:
         return f"adam(beta1={self.BETA1}, beta2={self.BETA2}, eps={self.EPS}, weight_decay=0)"
 
-    def step(self, params: dict[str, Tensor], grads: dict[str, np.ndarray], lr: float) -> None:
+    def step(self, x: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+        if self.t == 0:
+            self.m, self.v = np.zeros_like(x), np.zeros_like(x)
         self.t += 1
+        # the textbook update, elementwise, with at most two vector temporaries at a time
+        self.m *= self.BETA1
+        self.m += (1.0 - self.BETA1) * grad
+        self.v *= self.BETA2
+        self.v += (1.0 - self.BETA2) * (grad * grad)
         c1 = 1.0 - self.BETA1 ** self.t
         c2 = 1.0 - self.BETA2 ** self.t
-        for name, g in grads.items():
-            p = params[name]
-            m = self.BETA1 * self.m.get(name, 0.0) + (1.0 - self.BETA1) * g
-            v = self.BETA2 * self.v.get(name, 0.0) + (1.0 - self.BETA2) * (g * g)
-            self.m[name], self.v[name] = m, v
-            upd = (lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)).astype(p.data.dtype)
-            params[name] = nm.parameter(p.data - upd, dtype=p.data.dtype)
+        den = np.sqrt(self.v / c2) + self.EPS
+        np.divide(lr * (self.m / c1), den, out=den)
+        return np.subtract(x, den, out=den)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +354,18 @@ def train(train_records: list[sig.RespirationRecord],
     n_windows = prep.n_windows
     variant = train_cfg.fusion_variant
 
-    params = init_pipeline_params(enc_cfg, variant, n_windows, n_classes,
-                                  stream(train_cfg.seed, _TAG_INIT))
+    # the parameters as one vector x in init order; `load` builds its tensors once per map
+    init = init_pipeline_params(enc_cfg, variant, n_windows, n_classes,
+                                stream(train_cfg.seed, _TAG_INIT))
+    layout = {name: p.shape for name, p in init.items()}
+    x = np.concatenate([p.data.ravel() for p in init.values()])
+    del init
+    bounds = [0, *itertools.accumulate(math.prod(shape) for shape in layout.values())]
+
+    def load(x: np.ndarray) -> dict[str, Tensor]:
+        return {name: nm.parameter(x[lo:hi].reshape(shape))
+                for (name, shape), lo, hi in zip(layout.items(), bounds, bounds[1:])}
+
     optimizer = Adam()
     logger.info("optimizer: %s | lr schedule: peak %g, warmup %d, cooldown %d, %d epochs",
                 optimizer.describe(), train_cfg.lr, train_cfg.warmup_epochs,
@@ -372,19 +381,18 @@ def train(train_records: list[sig.RespirationRecord],
     metrics_lines = [METRICS_HEADER]
     val_reports: list[MetricsReport] = []
     loss_curve: list[float] = []
-    best_epoch, best_acc = -1, -1.0
-    best_params: dict[str, Tensor] = {}
+    best_epoch, best_acc, best_x = -1, -1.0, None
     n = len(train_records)
     val_labels = [item[2] for item in val_prepared]
 
     def train_sample(params: dict[str, Tensor], job: tuple[int, int, int]):
-        """(loss, route, {name: gradient}) of one sample of a batch of batch_len."""
+        """(loss, route, gradient vector in x's layout) of one sample of a batch of batch_len."""
         epoch, idx, batch_len = job
         rec = train_records[idx]
-        x = rec.samples
+        samples = rec.samples
         if train_cfg.augment_enabled:
-            x = aug.apply_augmentations(x, aug_cfg, stream(train_cfg.seed, _TAG_AUGMENT, epoch, idx))
-        windows, padded = preprocess(x, prep)
+            samples = aug.apply_augmentations(samples, aug_cfg, stream(train_cfg.seed, _TAG_AUGMENT, epoch, idx))
+        windows, padded = preprocess(samples, prep)
         rng_model = stream(train_cfg.seed, _TAG_MODEL, epoch, idx)
         logits, route = forward_logits(windows, padded, enc_cfg, params, variant,
                                        training=True, rng=rng_model)
@@ -394,11 +402,10 @@ def train(train_records: list[sig.RespirationRecord],
             raise NumericalError(f"non-finite loss {value} at epoch {epoch}, "
                                  f"record {rec.subject_id!r}; aborting")
         nm.backward(nm.scale(loss, 1.0 / batch_len))
-        grads = {}
-        for name, p in params.items():
-            if p.grad is not None:
-                grads[name], p.grad = p.grad, None
-        return value, route, grads
+        grad = np.concatenate([p.grad.ravel() for p in params.values()])
+        for p in params.values():
+            p.grad = None
+        return value, route, grad
 
     def eval_record(params: dict[str, Tensor], i: int) -> tuple[int, float]:
         return _eval_record(val_prepared[i], enc_cfg, params, variant)
@@ -406,7 +413,7 @@ def train(train_records: list[sig.RespirationRecord],
     # Each sample's gradient is its own backward pass, summed in batch order:
     # the float32 additions a one-process loop makes, whichever worker
     # computed the sample.
-    with par.Workers((train_sample, eval_record), train_cfg.batch_size) as pool:
+    with par.Workers((train_sample, eval_record), train_cfg.batch_size, load) as pool:
         for epoch in range(train_cfg.epochs):
             lr = lr_at_epoch(epoch, train_cfg)
             order = stream(train_cfg.seed, _TAG_SHUFFLE, epoch).permutation(n)
@@ -415,40 +422,39 @@ def train(train_records: list[sig.RespirationRecord],
             for start in range(0, n, train_cfg.batch_size):
                 batch = order[start:start + train_cfg.batch_size]
                 jobs = [(epoch, int(idx), len(batch)) for idx in batch]
-                total: dict[str, np.ndarray] = {}
-                for value, route, grads in pool.map(train_sample, params, jobs):
+                total = None
+                for value, route, grad in pool.map(train_sample, x, jobs):
                     epoch_losses.append(value)
                     if route is not None:
                         hist[route] += 1
-                    for name, g in grads.items():
-                        total[name] = total[name] + g if name in total else g
-                for name, g in total.items():
-                    if not np.isfinite(g).all():
-                        raise NumericalError(f"non-finite gradient for parameter {name!r} at epoch {epoch}; "
-                                             f"aborting before the optimizer step")
-                optimizer.step(params, total, lr)
+                    total = grad if total is None else np.add(total, grad, out=total)
+                if not np.isfinite(total).all():   # name the parameter of the first non-finite entry
+                    name = list(layout)[np.searchsorted(bounds, np.argmin(np.isfinite(total)), "right") - 1]
+                    raise NumericalError(f"non-finite gradient for parameter {name!r} at epoch {epoch}; "
+                                         f"aborting before the optimizer step")
+                x = optimizer.step(x, total, lr)
 
             train_loss = float(np.mean(epoch_losses))
-            report = _report(val_labels, pool.map(eval_record, params, list(range(len(val_prepared)))))
+            report = _report(val_labels, pool.map(eval_record, x, list(range(len(val_prepared)))))
             metrics_lines.append(_format_row(epoch, lr, train_loss, report, hist))
             val_reports.append(report)
             loss_curve.append(train_loss)
             if report.macro_accuracy > best_acc:
-                best_epoch, best_acc = epoch, report.macro_accuracy
-                best_params = dict(params)
+                best_epoch, best_acc, best_x = epoch, report.macro_accuracy, x
             if out_path is not None and train_cfg.checkpoint_interval > 0 \
                     and (epoch + 1) % train_cfg.checkpoint_interval == 0:
                 save_pipeline(out_path / f"checkpoint_epoch{epoch + 1:03d}.bin",
-                              enc_cfg, params, prep, variant, n_classes)
+                              enc_cfg, load(x), prep, variant, n_classes)
 
-    result = TrainResult(params=params, variant=variant, metrics_lines=metrics_lines,
+    result = TrainResult(params=load(x), variant=variant, metrics_lines=metrics_lines,
                          val_reports=val_reports, train_loss_curve=loss_curve, best_epoch=best_epoch)
     logger.info("training done: best val macro acc %.4f at epoch %d; final %.4f",
                 best_acc, best_epoch, result.final_report.macro_accuracy)
     if out_path is not None:
         (out_path / "metrics.tsv").write_text(result.metrics_text)
-        save_pipeline(out_path / "checkpoint_final.bin", enc_cfg, params, prep, variant, n_classes)
-        save_pipeline(out_path / "checkpoint_best.bin", enc_cfg, best_params, prep, variant, n_classes)
+        save_pipeline(out_path / "checkpoint_final.bin", enc_cfg, result.params, prep, variant, n_classes)
+        save_pipeline(out_path / "checkpoint_best.bin", enc_cfg,
+                      result.params if best_x is x else load(best_x), prep, variant, n_classes)
     return result
 
 

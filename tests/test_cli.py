@@ -697,12 +697,15 @@ def test_utf8_record_paths_under_an_ascii_locale(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "synth"])
-@pytest.mark.parametrize("under_a_file", [False, True])
-def test_out_that_cannot_be_a_directory_is_a_config_error(workspace, tmp_path, capsys, command, under_a_file):
-    # an existing file as --out, or a path under a file: exit 2 naming the path
+@pytest.mark.parametrize("blocked", [False, True, "name_too_long", "symlink_loop"])
+def test_out_that_cannot_be_a_directory_is_a_config_error(workspace, tmp_path, capsys, command, blocked):
+    # an existing file as --out (False), a path under a file (True), a name too
+    # long for the file system, or a path through a symlink loop: exit 2 naming the path
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
-    out = str(blocker / "run" if under_a_file else blocker)
+    (tmp_path / "loop").symlink_to("loop")
+    out = str({False: blocker, True: blocker / "run", "name_too_long": tmp_path / ("x" * 300),
+               "symlink_loop": tmp_path / "loop" / "run"}[blocked])
     argv = {"train": ["train", "--config", str(workspace["config"]), "--data",
                       str(workspace["data"] / "manifest.tsv"), "--out", out],
             "synth": ["synth", "--per-class", "1", "--out", out]}[command]

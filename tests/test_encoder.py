@@ -336,8 +336,8 @@ def test_latent_query_is_recomputed_after_a_step_replaces_one_of_its_tensors(nam
     params = _params(TINY, seed=21)
     with nm.no_grad():
         before = enc.latent_query(params)
-    grads = {name: np.ones(params[name].shape, dtype=np.float32)}
-    trn.Adam().step(params, grads, lr=0.01)   # replaces this tensor only
+    stepped = trn.Adam().step(params[name].data, np.ones(params[name].shape, dtype=np.float32), lr=0.01)
+    params[name] = nm.parameter(stepped)   # a fresh parameter for this tensor only, as after a step
     with nm.no_grad():
         after = enc.latent_query(params)
     fresh = enc._score_query(*enc._query_tensors(params["latents"], params, "block0.cross0.attn"))

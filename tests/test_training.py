@@ -131,48 +131,39 @@ def test_adam_matches_reference_sequence():
     init = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}
     grad_seq = [{k: rng.normal(size=v.shape) for k, v in init.items()} for _ in range(3)]
 
-    params = {k: nm.parameter(v, dtype=np.float64) for k, v in init.items()}
+    x = np.concatenate([v.ravel() for v in init.values()])
     opt = trn.Adam()
     for grads in grad_seq:
-        opt.step(params, {k: g.copy() for k, g in grads.items()}, lr=0.01)
+        x = opt.step(x, np.concatenate([g.ravel() for g in grads.values()]), lr=0.01)
 
     want = oracles.adam_reference(grad_seq, init, lr=0.01)
-    for k in params:
-        np.testing.assert_allclose(params[k].data, want[k], atol=1e-12)
+    np.testing.assert_allclose(x[:6].reshape(3, 2), want["a"], atol=1e-12)
+    np.testing.assert_allclose(x[6:], want["b"], atol=1e-12)
     assert opt.t == 3
 
 
-def test_adam_step_leaves_no_gradient_behind():
-    # a parameter with a gradient is replaced by a fresh leaf; one without
-    # is kept as is, so after a step no parameter holds a gradient
+def test_adam_step_leaves_read_only_arguments_bit_identical():
+    # the best epoch's vector aliases the one the next step reads, so a step
+    # returns a new vector and writes neither x nor grad
     rng = np.random.default_rng(3)
-    params = {k: nm.parameter(rng.normal(size=3), dtype=np.float64) for k in "abcd"}
-    nm.backward(nm.sum_all(nm.mul(params["a"], params["c"])))
-    before = dict(params)
-    trn.Adam().step(params, {k: params[k].grad for k in "ac"}, lr=0.01)
-    assert all(p.grad is None for p in params.values())
-    assert params["b"] is before["b"] and params["d"] is before["d"]
-    assert params["a"] is not before["a"] and params["c"] is not before["c"]
+    x, grad = rng.normal(size=12), rng.normal(size=12)
+    x_bytes, grad_bytes = x.tobytes(), grad.tobytes()
+    x.flags.writeable = grad.flags.writeable = False
+    opt = trn.Adam()
+    for _ in range(2):
+        stepped = opt.step(x, grad, lr=0.01)
+        assert stepped is not x and not np.shares_memory(stepped, x)
+        assert x.tobytes() == x_bytes and grad.tobytes() == grad_bytes
+    assert not np.array_equal(stepped, x)
 
 
 def test_adam_skips_parameters_without_gradients():
-    p = nm.parameter(np.ones(3), dtype=np.float64)
-    frozen = nm.parameter(np.full(3, 7.0), dtype=np.float64)
-    params = {"p": p, "frozen": frozen}
-    trn.Adam().step(params, {"p": np.ones(3)}, lr=0.1)
-    assert params["frozen"] is frozen
-    assert not np.array_equal(params["p"].data, p.data) or params["p"] is not p
-    np.testing.assert_array_equal(params["frozen"].data, np.full(3, 7.0))
-
-
-def test_adam_reads_only_the_gradients_it_is_given():
-    # a gradient left in .grad is not the step's to take: only `grads` is read
-    rng = np.random.default_rng(4)
-    params = {k: nm.parameter(rng.normal(size=3), dtype=np.float64) for k in "ab"}
-    stale = params["b"]
-    stale.grad = np.ones(3)
-    trn.Adam().step(params, {"a": np.ones(3)}, lr=0.1)
-    assert params["b"] is stale
+    # a zero slice of the gradient, with zero moments, leaves its entries bit-identical
+    x = np.concatenate([np.ones(3), np.full(3, 7.0)])
+    stepped = trn.Adam().step(x, np.concatenate([np.ones(3), np.zeros(3)]), lr=0.1)
+    assert stepped[3:].tobytes() == x[3:].tobytes()
+    assert not np.array_equal(stepped[:3], x[:3])
+    np.testing.assert_array_equal(stepped[3:], np.full(3, 7.0))
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +302,17 @@ def test_train_aborts_on_non_finite_gradient(monkeypatch, bad):
     # training loop receives is forced non-finite, and the optimizer must never see it
     records = _dataset()
     real_map = par.Workers.map
+    init = trn.init_pipeline_params(ENC, fus.DEFAULT_VARIANT, PREP.n_windows, sig.N_CLASSES,
+                                    np.random.default_rng(0))
+    names = list(init)   # the gradient vector holds every parameter in init order
+    offset = sum(init[name].data.size for name in names[:names.index("proj.b")])
 
     def poisoned_map(self, fn, params, items):
         for i, result in enumerate(real_map(self, fn, params, items)):
-            if i == 0 and len(result) == 3:   # a training sample's (loss, route, gradients)
-                g = result[2]["proj.b"] = result[2]["proj.b"].copy()
-                g[0] = bad
+            if i == 0 and len(result) == 3:   # a training sample's (loss, route, gradient)
+                g = result[2].copy()
+                g[offset] = bad
+                result = (*result[:2], g)
             yield result
 
     def no_step(self, params, grads, lr):
@@ -349,11 +345,33 @@ def test_train_in_one_process_matches_the_workers(monkeypatch):
     assert _params_bytes(spread.params) == _params_bytes(alone.params)
 
 
+@pytest.mark.parametrize("variant", fus.VARIANTS)
+def test_every_parameter_gets_a_gradient_in_every_training_sample(monkeypatch, variant):
+    # a sample's gradient concatenates every parameter's .grad with no zero fill,
+    # so a head or gate that some sample leaves unreached fails the run here
+    enc_cfg = dataclasses.replace(ENC, self_per_block=1)
+    assert enc_cfg.dropout > 0
+    init = trn.init_pipeline_params(enc_cfg, variant, PREP.n_windows, sig.N_CLASSES, np.random.default_rng(0))
+    sizes, real_map = [], par.Workers.map
+
+    def recording_map(self, fn, params, items):
+        for result in real_map(self, fn, params, items):
+            if len(result) == 3:   # a training sample's (loss, route, gradient)
+                sizes.append(result[2].size)
+            yield result
+
+    monkeypatch.setattr(par.Workers, "map", recording_map)
+    records = _dataset()
+    cfg = _quick_cfg(fusion_variant=variant)
+    trn.train(records, records, enc_cfg, cfg, PREP)
+    assert sizes == [sum(p.data.size for p in init.values())] * (cfg.epochs * len(records))
+
+
 def _recording_worker_pids(monkeypatch) -> list[int]:
     pids, real_init = [], par.Workers.__init__
 
-    def init(self, fns, n):
-        real_init(self, fns, n)
+    def init(self, *args):
+        real_init(self, *args)
         pids.extend(proc.pid for proc in self.procs)
 
     monkeypatch.setattr(par.Workers, "__init__", init)
