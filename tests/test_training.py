@@ -157,6 +157,33 @@ def test_adam_step_leaves_read_only_arguments_bit_identical():
     assert not np.array_equal(stepped, x)
 
 
+def test_adam_step_leaves_no_gradient_behind():
+    # the optimizer keeps only its moments: neither they nor the returned
+    # vector hold the gradient, and a later step leaves an earlier result as it was
+    rng = np.random.default_rng(3)
+    x, grad = rng.normal(size=12), rng.normal(size=12)
+    opt = trn.Adam()
+    first = opt.step(x, grad, lr=0.01)
+    first_bytes = first.tobytes()
+    for kept in (opt.m, opt.v, first):
+        assert not np.shares_memory(kept, grad) and not np.shares_memory(kept, x)
+    assert not np.shares_memory(opt.m, opt.v)
+    second = opt.step(first, rng.normal(size=12), lr=0.01)
+    assert first.tobytes() == first_bytes and not np.shares_memory(second, first)
+
+
+def test_adam_reads_only_the_gradients_it_is_given():
+    # a gradient left in .grad on a tensor loaded from x is not the step's to take
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=6)
+    stale = nm.parameter(x[3:].reshape(3), dtype=np.float64)
+    stale.grad = np.ones(3)
+    stepped = trn.Adam().step(x, np.concatenate([np.ones(3), np.zeros(3)]), lr=0.1)
+    assert stepped[3:].tobytes() == x[3:].tobytes()
+    want = oracles.adam_reference([{"a": np.ones(3)}], {"a": x[:3]}, lr=0.1)
+    np.testing.assert_allclose(stepped[:3], want["a"], atol=1e-12)
+
+
 def test_adam_skips_parameters_without_gradients():
     # a zero slice of the gradient, with zero moments, leaves its entries bit-identical
     x = np.concatenate([np.ones(3), np.full(3, 7.0)])
