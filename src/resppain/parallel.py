@@ -3,9 +3,10 @@
 `Workers(fns, limit, load)` starts n = min(CPUs this process may run on,
 limit) processes, each with one `Pipe` to this one.  `map(fn, shared,
 items)`, for fn one of `fns`, pickles `shared` once for all workers, and
-each applies `load` to it once; worker i takes the i-th contiguous chunk
-of `items`, and the map yields `fn(load(shared), item)` for every item in
-list order.  With n = 1 the same map, `load` included, runs in this process.
+each applies `load` to it once.  Items are dealt round-robin, worker i
+taking `items[i::n]`, and each worker sends a result as soon as it is
+computed; the map yields `fn(load(shared), item)` for every item in list
+order.  With n = 1 the same map, `load` included, runs in this process.
 
 The workers are forked, not spawned: each sees what this process held
 when it started (records, configs, `fns` and `load`), and only shared
@@ -45,7 +46,7 @@ def _openblas_set_num_threads():
 
 
 class Workers:
-    """`fns` mapped over contiguous chunks of a list by n fork-started
+    """`fns` mapped over a list dealt round-robin to n fork-started
     processes, or in this process when n == 1 (see the module docstring).
 
     Use it as a context manager: leaving the block closes every pipe and
@@ -99,47 +100,41 @@ class Workers:
             return
         k = self.fns.index(fn)
         n = len(self.procs)
-        bounds = [len(items) * i // n for i in range(n + 1)]
         blob = pickle.dumps(shared, pickle.HIGHEST_PROTOCOL)
-        busy = []
-        for conn, proc, lo, hi in zip(self.conns, self.procs, bounds, bounds[1:]):
-            if lo < hi:
-                conn.send_bytes(blob)
-                conn.send((k, items[lo:hi]))
-                busy.append((conn, proc, hi - lo))
-        for conn, proc, count in busy:
-            for _ in range(count):
-                try:
-                    ok, value = conn.recv()
-                except EOFError:
-                    proc.join()
-                    raise RuntimeError(f"worker {proc.pid} exited with code {proc.exitcode}") from None
-                if not ok:
-                    raise value
-                yield value
+        for i, conn in enumerate(self.conns[:len(items)]):
+            conn.send_bytes(blob)
+            conn.send((k, items[i::n]))
+        for j in range(len(items)):
+            conn, proc = self.conns[j % n], self.procs[j % n]
+            try:
+                ok, value = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"worker {proc.pid} exited with code {proc.exitcode}") from None
+            if not ok:
+                raise value
+            yield value
 
 
 def _serve(conn, fns: tuple[Fn, ...], load: Callable[[Any], Any], inherited: list) -> None:
-    """A worker: a shared value, then (k, chunk) to map, until the parent closes its end."""
+    """A worker: a shared value, then (k, items) to map, sending each result
+    as soon as it is computed, until the parent closes its end."""
     for c in inherited:
         c.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent takes Ctrl-C and stops its workers
     _openblas_set_num_threads()(1)
-    while True:
-        try:
+    try:
+        while True:
             value = load(conn.recv())
             k, items = conn.recv()
-        except EOFError:
-            return
-        # the whole chunk runs before any result is sent: the parent reads the
-        # chunks in order, so a send here may block until earlier chunks are read
-        results = []
-        for item in items:
-            try:
-                results.append((True, fns[k](value, item)))
-            except Exception as e:
-                results.append((False, e))
-                break
-        for i, result in enumerate(results):
-            results[i] = None
-            conn.send(result)
+            for item in items:
+                try:
+                    result = True, fns[k](value, item)
+                except Exception as e:
+                    result = False, e
+                conn.send(result)
+                if not result[0]:
+                    break
+                del result   # keep no sent result, say a gradient, while the next item runs
+    except (EOFError, ConnectionError):   # the parent closed its end, maybe with results unread
+        return

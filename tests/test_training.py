@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -448,7 +449,8 @@ def test_no_worker_outlives_train(monkeypatch, exit_by):
 
 def test_train_raises_the_earliest_failure_in_batch_order(monkeypatch):
     # one batch of six over the workers; positions 2 and 3 fail, in different
-    # workers when there are two, and position 3 fails first in time
+    # workers when there are two, and position 2's error is the one raised.
+    # A later failure that comes first in time is tests/test_parallel.py's case.
     records = _dataset()
     cfg = _quick_cfg(batch_size=len(records))
     order = trn.stream(cfg.seed, trn._TAG_SHUFFLE, 0).permutation(len(records))
@@ -457,6 +459,24 @@ def test_train_raises_the_earliest_failure_in_batch_order(monkeypatch):
     monkeypatch.setattr(trn.aug, "apply_augmentations", _failing_augmentation(second.samples, "batch position 3"))
     with pytest.raises(sig.DataError, match="^batch position 2$"):
         trn.train(records, records, ENC, cfg, PREP)
+
+
+def test_a_failed_train_prints_no_worker_traceback(monkeypatch, capfd):
+    # every sample fails, and the run stops on the first worker's error with the
+    # other's unread; that worker must leave quietly when its pipe closes
+    real_close = par.Workers.close
+
+    def late_close(self, terminate=False):
+        time.sleep(0.2)   # long enough for every worker to send its first result
+        real_close(self, terminate)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(par.Workers, "close", late_close)
+    monkeypatch.setattr(trn, "init_pipeline_params", _poisoned_init(trn.init_pipeline_params))
+    records = _dataset()
+    with pytest.raises(trn.NumericalError):
+        trn.train(records, records, ENC, _quick_cfg(batch_size=len(records)), PREP)
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_train_and_evaluate_reject_mismatched_sample_rate():
