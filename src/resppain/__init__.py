@@ -8,7 +8,7 @@ deterministic training loop with signal-level augmentations.
 
 from . import augment, cost, encoder, fusion, numerics, signal, training
 from .augment import AugmentConfig
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .encoder import EncoderConfig, encode
 from .fusion import DEFAULT_VARIANT, VARIANTS, classify, fuse_windows
 from .signal import (
     N_CLASSES,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "augment", "cost", "encoder", "fusion", "numerics", "signal", "training",
-    "AugmentConfig", "EncoderConfig", "encode", "init_encoder_params",
+    "AugmentConfig", "EncoderConfig", "encode",
     "DEFAULT_VARIANT", "VARIANTS", "classify", "fuse_windows",
     "N_CLASSES", "DataError", "PainLabel", "PreprocessConfig", "RespirationRecord",
     "load_dataset", "synth_dataset",

@@ -125,7 +125,9 @@ _INIT_RULES = {
 
 def draw_params(rows: Iterable[ParamRow], rng: np.random.Generator,
                 dtype=nm.DEFAULT_DTYPE) -> dict[str, Tensor]:
-    """One parameter per row, drawn in row order by its init rule."""
+    """One parameter per row, drawn in row order by its init rule: latents from
+    N(0, 0.02), linear weights from the fan-in scaled uniform U(-1/sqrt(fan_in),
+    1/sqrt(fan_in)), biases at zero and norm gains at one."""
     return {name: nm.parameter(_INIT_RULES[init](rng, shape), dtype=dtype) for name, shape, init in rows}
 
 
@@ -160,17 +162,6 @@ def encoder_param_rows(cfg: EncoderConfig) -> Iterator[ParamRow]:
                 yield from (_attention_rows(f"{base}.self{s}.attn", d, d)
                             + _ffn_rows(f"{base}.self{s}.ffn", d, e))
     yield from linear_rows("proj", d, cfg.out_dim)
-
-
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator,
-                        dtype=nm.DEFAULT_DTYPE) -> dict[str, Tensor]:
-    """Fresh parameter dict in a fixed, documented key order.
-
-    Latents draw from N(0, 0.02); linear weights from the fan-in scaled
-    uniform U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases start at zero and
-    norm gains at one.
-    """
-    return draw_params(encoder_param_rows(cfg), rng, dtype)
 
 
 def _affine(x: Tensor, params: dict, prefix: str) -> Tensor:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics as nm
-from .encoder import ParamRow, draw_params, linear_rows
+from .encoder import ParamRow, linear_rows
 from .numerics import Tensor
 
 N_ROUTES = 4
@@ -77,12 +77,8 @@ def fuse_windows(embeddings: list[Tensor]) -> tuple[Tensor, Tensor]:
 
     z_add is the elementwise sum (order-free, fixed width); z_concat is
     the order-preserving concatenation (width grows with window count).
+    The two ops raise ShapeError for no embeddings, unequal widths or a non-vector.
     """
-    if not embeddings:
-        raise nm.ShapeError("fuse_windows needs at least one embedding")
-    widths = {e.shape for e in embeddings}
-    if len(widths) > 1 or embeddings[0].data.ndim != 1:
-        raise nm.ShapeError(f"window embeddings must be equal-length vectors, got {[e.shape for e in embeddings]}")
     return nm.add_n(embeddings), nm.concat_vec(embeddings)
 
 
@@ -149,16 +145,6 @@ def fusion_param_rows(variant: str, n_windows: int, embed_dim: int, n_classes: i
         yield from linear_rows(prefix, width, n_classes)
     for name, size in COMBINER_PARAMS.get(spec.combiner, {}).items():
         yield (name, (size,), "zeros")
-
-
-def init_fusion_params(variant: str, n_windows: int, embed_dim: int, n_classes: int,
-                       rng: np.random.Generator, dtype=nm.DEFAULT_DTYPE) -> dict[str, Tensor]:
-    """Heads (fan-in uniform init) and gate/coefficient scalars at zero."""
-    variant_spec(variant)   # an unknown variant fails first
-    if n_windows < 1 or embed_dim < 1 or n_classes < 2:
-        raise ValueError(f"need n_windows >= 1, embed_dim >= 1, n_classes >= 2; "
-                         f"got ({n_windows}, {embed_dim}, {n_classes})")
-    return draw_params(fusion_param_rows(variant, n_windows, embed_dim, n_classes), rng, dtype)
 
 
 def classify(z_add: Tensor, z_concat: Tensor, z_full: Tensor, params: dict, variant: str,

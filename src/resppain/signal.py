@@ -73,7 +73,8 @@ class RespirationRecord:
 
 @dataclass(frozen=True)
 class PreprocessConfig:
-    """Filter/pad/window settings shared by training and evaluation."""
+    """Filter/pad/window settings shared by training and evaluation.  Construction
+    checks every field, so `n_windows` never raises."""
 
     sample_rate_hz: float = SAMPLE_RATE_HZ
     filter_enabled: bool = True
@@ -83,11 +84,7 @@ class PreprocessConfig:
     window_seconds: float = 5.0
 
     def __post_init__(self):
-        if not (0.0 < self.filter_low_hz < self.filter_high_hz < self.sample_rate_hz / 2.0):
-            raise DataError(
-                f"band ({self.filter_low_hz}, {self.filter_high_hz}) Hz must satisfy "
-                f"0 < low < high < {self.sample_rate_hz / 2.0} (Nyquist)"
-            )
+        _check_band(self.filter_low_hz, self.filter_high_hz, self.sample_rate_hz)
         if self.filter_enabled:   # a band the filter cannot be designed for fails here
             _bandpass_sos(self.filter_low_hz, self.filter_high_hz, self.sample_rate_hz)
         if not math.isfinite(self.sample_rate_hz):   # with the filter off, inf passes the band check
@@ -96,6 +93,7 @@ class PreprocessConfig:
             raise DataError(f"pad_len must be >= 1, got {self.pad_len}")
         if not (math.isfinite(self.window_seconds) and self.window_seconds > 0):
             raise DataError(f"window_seconds must be finite and positive, got {self.window_seconds}")
+        _window_samples(self.window_seconds, self.sample_rate_hz)
 
     @property
     def n_windows(self) -> int:
@@ -104,6 +102,12 @@ class PreprocessConfig:
 
 # ---------------------------------------------------------------------------
 # preprocessing
+
+def _check_band(low_hz: float, high_hz: float, sample_rate_hz: float) -> None:
+    if not (0.0 < low_hz < high_hz < sample_rate_hz / 2.0):
+        raise DataError(f"band ({low_hz}, {high_hz}) Hz must satisfy 0 < low < high < "
+                        f"{sample_rate_hz / 2.0} (Nyquist)")
+
 
 @functools.lru_cache(maxsize=8)
 def _bandpass_sos(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
@@ -140,10 +144,7 @@ def bandpass_filter(x: np.ndarray, sample_rate_hz: float,
     x = np.asarray(x)
     if x.ndim != 1:
         raise DataError(f"bandpass_filter expects a vector, got shape {x.shape}")
-    if not (0.0 < low_hz < high_hz < sample_rate_hz / 2.0):
-        raise DataError(
-            f"band ({low_hz}, {high_hz}) Hz must satisfy 0 < low < high < {sample_rate_hz / 2.0} (Nyquist)"
-        )
+    _check_band(low_hz, high_hz, sample_rate_hz)
     sos = _bandpass_sos(low_hz, high_hz, sample_rate_hz)
     padlen = 3 * (2 * sos.shape[0] + 1)
     if x.size <= padlen:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,8 +76,7 @@ class TrainConfig:
         if self.warmup_epochs + self.cooldown_epochs > self.epochs:
             raise ValueError(f"warmup ({self.warmup_epochs}) + cooldown ({self.cooldown_epochs}) "
                              f"exceed total epochs ({self.epochs})")
-        if self.fusion_variant not in fus.VARIANTS:
-            raise ValueError(f"unknown fusion variant {self.fusion_variant!r}; expected one of {fus.VARIANTS}")
+        fus.variant_spec(self.fusion_variant)
         if self.checkpoint_interval < 0:
             raise ValueError(f"checkpoint_interval must be >= 0, got {self.checkpoint_interval}")
         if self.seed < 0:
@@ -314,13 +314,21 @@ class TrainResult:
         return "\n".join(self.metrics_lines) + "\n"
 
 
+def pipeline_param_rows(enc_cfg: enc.EncoderConfig, variant: str, n_windows: int,
+                        n_classes: int) -> Iterator[enc.ParamRow]:
+    """The encoder's rows, then the variant's head and combiner rows: init order, read lazily."""
+    fus.variant_spec(variant)   # an unknown variant fails first
+    if n_windows < 1 or n_classes < 2:
+        raise ValueError(f"need n_windows >= 1 and n_classes >= 2; got ({n_windows}, {n_classes})")
+    return itertools.chain(enc.encoder_param_rows(enc_cfg),
+                           fus.fusion_param_rows(variant, n_windows, enc_cfg.out_dim, n_classes))
+
+
 def init_pipeline_params(enc_cfg: enc.EncoderConfig, variant: str, n_windows: int,
                          n_classes: int, rng: np.random.Generator,
                          dtype=nm.DEFAULT_DTYPE) -> dict[str, Tensor]:
     """Encoder parameters followed by fusion heads/gate, one flat dict."""
-    params = enc.init_encoder_params(enc_cfg, rng, dtype)
-    params.update(fus.init_fusion_params(variant, n_windows, enc_cfg.out_dim, n_classes, rng, dtype))
-    return params
+    return enc.draw_params(pipeline_param_rows(enc_cfg, variant, n_windows, n_classes), rng, dtype)
 
 
 def _format_row(epoch: int, lr: float, train_loss: float, rep: MetricsReport,
@@ -482,14 +490,9 @@ def load_pipeline(path: str | Path) -> tuple[enc.EncoderConfig, dict[str, Tensor
         raise enc.CheckpointError(f"{path}: unknown fusion variant {variant!r}")
     if n_classes != sig.N_CLASSES:
         raise enc.CheckpointError(f"{path}: checkpoint has {n_classes} classes, expected {sig.N_CLASSES}")
-    try:
-        n_windows = prep.n_windows
-    except sig.DataError as e:
-        raise enc.CheckpointError(f"{path}: invalid preprocessing fields: {e}") from e
     # reading one row more than the file holds shows whether the config declares
     # more, so a corrupt header (say depth 10**6) costs no more than the file
-    rows = itertools.chain(enc.encoder_param_rows(cfg),
-                           fus.fusion_param_rows(variant, n_windows, cfg.out_dim, sig.N_CLASSES))
+    rows = pipeline_param_rows(cfg, variant, prep.n_windows, n_classes)
     want = {name: shape for name, shape, _ in itertools.islice(rows, len(arrays) + 1)}
     got = {n: a.shape for n, a in arrays.items()}
     # after a cut walk, a file tensor not yet read may still be declared further on

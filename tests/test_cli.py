@@ -221,6 +221,21 @@ def test_non_finite_window_seconds_flag_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
+def test_train_window_of_no_whole_sample_count_is_a_config_error(workspace, tmp_path, capsys, by_flag):
+    # 0.123 s at 100 Hz is 12.3 samples: the settings fail before the run directory is made
+    cfg = tmp_path / "window.ini"
+    cfg.write_text(MICRO_CONFIG if by_flag else MICRO_CONFIG.replace("window_seconds = 2.0",
+                                                                     "window_seconds = 0.123"))
+    out = tmp_path / "run"
+    rc = cli.main(["train", "--config", str(cfg), "--data", str(workspace["data"] / "manifest.tsv"),
+                   "--out", str(out)] + (["--window-seconds", "0.123"] if by_flag else []))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "window of 0.123s" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
 def test_negative_train_seed_is_a_config_error(tmp_path, capsys, by_flag):
     cfg = tmp_path / "seed.ini"
     cfg.write_text("[train]\n" if by_flag else "[train]\nseed = -5\n")
@@ -307,7 +322,7 @@ def _valid_settings(draw):
         prep = sig.PreprocessConfig(
             sample_rate_hz=rate, filter_enabled=draw(st.booleans()), filter_low_hz=low,
             filter_high_hz=high, pad_len=draw(st.integers(1, 10**6)),
-            window_seconds=draw(st.floats(0.0, 1e4, exclude_min=True)))
+            window_seconds=draw(st.integers(1, 10**6)) / rate)
     except sig.DataError:   # a band the filter cannot be designed for is no valid setting
         assume(False)
     return cli.RunSettings(
@@ -603,6 +618,7 @@ def test_eval_rejects_header_bool_byte_other_than_0_or_1(workspace, tmp_path, ca
                                                ("pad_len", 0, "pad_len"),
                                                ("depth", 0, "depth"),
                                                ("window_seconds", float("nan"), "window_seconds must be finite"),
+                                               ("window_seconds", 0.123, "window of 0.123s"),
                                                # several fields: comma-separated names, one value each
                                                ("filter_enabled,sample_rate_hz", (False, float("inf")),
                                                 "sample_rate_hz must be finite")])

@@ -44,10 +44,11 @@ def test_param_count_equals_enumeration_all_variants():
 def test_param_count_encoder_only_matches():
     # heads/gate components are exactly the fusion parameter count
     report = cost.count_params(SMALL, n_windows=3)
-    fusion = fus.init_fusion_params("lf_avg_gate", 3, SMALL.out_dim, 3, np.random.default_rng(2))
+    fusion = enc.draw_params(fus.fusion_param_rows("lf_avg_gate", 3, SMALL.out_dim, 3),
+                             np.random.default_rng(2))
     fusion_n = enumerate_params(fusion)
     assert report.params_by_component["heads"] + report.params_by_component["gate"] == fusion_n
-    encoder = enc.init_encoder_params(SMALL, np.random.default_rng(3))
+    encoder = enc.draw_params(enc.encoder_param_rows(SMALL), np.random.default_rng(3))
     assert report.params_total - fusion_n == enumerate_params(encoder)
 
 

@@ -20,7 +20,7 @@ TINY = enc.EncoderConfig(depth=1, cross_per_block=1, self_per_block=0,
 
 
 def _params(cfg, seed=0, dtype=nm.DEFAULT_DTYPE):
-    return enc.init_encoder_params(cfg, np.random.default_rng(seed), dtype=dtype)
+    return enc.draw_params(enc.encoder_param_rows(cfg), np.random.default_rng(seed), dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +403,7 @@ def test_encode_gradcheck_tiny():
     # differences carry ~1e-4 relative roundoff at h = 1e-6; h = 1e-5 does not.
     cfg = dataclasses.replace(TINY, n_latents=2, model_dim=4, fourier_bands=1,
                               ffn_expansion=2, out_dim=2)
-    base = enc.init_encoder_params(cfg, np.random.default_rng(19), dtype=np.float64)
+    base = enc.draw_params(enc.encoder_param_rows(cfg), np.random.default_rng(19), dtype=np.float64)
     names = list(base)
     shapes = [base[k].shape for k in names]
     x = np.random.default_rng(20).normal(size=6).astype(np.float64)
@@ -423,7 +423,7 @@ def test_encode_gradcheck_token_width_below_model_width_with_self_layer():
     cfg = dataclasses.replace(TINY, n_latents=2, model_dim=8, fourier_bands=1,
                               self_per_block=1, ffn_expansion=1, out_dim=2)
     assert cfg.token_dim == 4
-    base = enc.init_encoder_params(cfg, np.random.default_rng(32), dtype=np.float64)
+    base = enc.draw_params(enc.encoder_param_rows(cfg), np.random.default_rng(32), dtype=np.float64)
     names = list(base)
     shapes = [base[k].shape for k in names]
     x = np.random.default_rng(33).normal(size=12).astype(np.float64)

@@ -7,7 +7,9 @@ import pytest
 
 import oracles
 from resppain import numerics as nm
+from resppain import encoder as enc
 from resppain import fusion as fus
+from resppain import training as trn
 
 
 def _vec(rng, n):
@@ -21,8 +23,8 @@ def _routes(z_add, z_concat, z_full, params):
 
 
 def _fusion_params(variant, n_windows=3, embed_dim=8, n_classes=3, seed=0):
-    return fus.init_fusion_params(variant, n_windows, embed_dim, n_classes,
-                                  np.random.default_rng(seed))
+    return enc.draw_params(fus.fusion_param_rows(variant, n_windows, embed_dim, n_classes),
+                           np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +216,10 @@ def test_variant_list_and_param_sets():
     assert list(_fusion_params("lf_coef")) == ["head_fused.w", "head_fused.b",
                                                "head_full.w", "head_full.b", "coef.alpha"]
     with pytest.raises(ValueError):
-        fus.init_fusion_params("bogus", 3, 8, 3, np.random.default_rng(0))
+        _fusion_params("bogus")
     with pytest.raises(ValueError):
-        fus.init_fusion_params("lf_avg", 0, 8, 3, np.random.default_rng(0))
+        trn.init_pipeline_params(enc.EncoderConfig(n_latents=2, model_dim=4, out_dim=8), "lf_avg", 0, 3,
+                                 np.random.default_rng(0))
 
 
 def test_classify_variant_contracts():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.signal import butter, sosfiltfilt
 
 from resppain import signal as sig
+from resppain import training as trn
 
 FS = 100.0
 
@@ -207,6 +208,26 @@ def test_preprocess_config_validation_and_n_windows():
         sig.PreprocessConfig(window_seconds=float("nan"))
     with pytest.raises(sig.DataError, match="sample_rate_hz must be finite"):
         sig.PreprocessConfig(sample_rate_hz=float("inf"), filter_enabled=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_preprocess_config_that_constructs_never_fails_later(data):
+    # either construction raises, or every record the pad length admits preprocesses into
+    # n_windows windows; arbitrary durations are rarely whole sample counts, so some are k / rate
+    rate = data.draw(st.floats(1.0, 1000.0), "sample_rate_hz")
+    window = data.draw(st.one_of(st.floats(0.0, 100.0, exclude_min=True),
+                                 st.integers(1, int(100 * rate)).map(lambda k: k / rate)), "window_seconds")
+    pad_len = data.draw(st.integers(1, 5000), "pad_len")
+    try:
+        prep = sig.PreprocessConfig(sample_rate_hz=rate, filter_enabled=False, filter_low_hz=rate / 8,
+                                    filter_high_hz=rate / 4, pad_len=pad_len, window_seconds=window)
+    except sig.DataError:
+        return
+    n = data.draw(st.integers(1, pad_len), "record length")
+    windows, padded = trn.preprocess(np.ones(n, dtype=np.float32), prep)
+    assert windows.shape[0] == prep.n_windows
+    assert padded.shape == (pad_len,)
 
 
 # ---------------------------------------------------------------------------

@@ -549,7 +549,7 @@ def test_load_pipeline_draws_no_random_numbers(tmp_path, monkeypatch):
 
 def test_load_pipeline_rejects_plain_encoder_checkpoint(tmp_path):
     # a file whose header holds only an encoder config lacks the pipeline's fields
-    params = enc.init_encoder_params(ENC, np.random.default_rng(0))
+    params = enc.draw_params(enc.encoder_param_rows(ENC), np.random.default_rng(0))
     enc.save_checkpoint(tmp_path / "plain.bin", (enc.EncoderConfig,), (ENC,), params)
     with pytest.raises(enc.CheckpointError):
         trn.load_pipeline(tmp_path / "plain.bin")
@@ -631,7 +631,7 @@ def test_corrupt_checkpoint_raises_only_checkpoint_error(micro_checkpoint, tmp_p
 
 def test_init_pipeline_params_is_union_of_parts():
     params = trn.init_pipeline_params(ENC, "lf_avg_gate", 2, 3, np.random.default_rng(5))
-    enc_keys = set(enc.init_encoder_params(ENC, np.random.default_rng(5)))
+    enc_keys = set(enc.draw_params(enc.encoder_param_rows(ENC), np.random.default_rng(5)))
     assert enc_keys < set(params)
     assert {"head_add.w", "head_concat.w", "head_full.w", "gate.g"} < set(params)
     assert params["head_concat.w"].shape == (2 * ENC.out_dim, 3)

@@ -84,14 +84,16 @@ class Census:
 
 
 def one_sample(record: sig.RespirationRecord, params: dict) -> Census:
-    """Forward and backward of one training sample, with every closure counted."""
+    """Forward and backward of one training sample, with every closure counted.
+    It draws from the streams ``training.train`` gives record 0 in epoch 0."""
     census = Census()
-    x = aug.apply_augmentations(record.samples, aug.AugmentConfig(), trn.stream(TRAIN_CFG.seed, 1))
+    x = aug.apply_augmentations(record.samples, aug.AugmentConfig(),
+                                trn.stream(TRAIN_CFG.seed, trn._TAG_AUGMENT, 0, 0))
     windows, padded = trn.preprocess(x, PREP)
     nm._result = census.recording
     try:
-        logits, _ = trn.forward_logits(windows, padded, ENC_CFG, params, fus.DEFAULT_VARIANT,
-                                       training=True, rng=trn.stream(TRAIN_CFG.seed, 2))
+        logits, _ = trn.forward_logits(windows, padded, ENC_CFG, params, fus.DEFAULT_VARIANT, training=True,
+                                       rng=trn.stream(TRAIN_CFG.seed, trn._TAG_MODEL, 0, 0))
         loss = trn.smoothed_ce_loss(logits, record.label.index, TRAIN_CFG.label_smoothing,
                                     sig.N_CLASSES)
         nm.backward(nm.scale(loss, 1.0 / TRAIN_CFG.batch_size))
@@ -107,7 +109,7 @@ def main(argv: list[str]) -> int:
     repeats = int(argv[0]) if argv else 20
     record = sig.synth_dataset(1, seed=[20260818, 0], duration_s=10.0)[0]
     params = trn.init_pipeline_params(ENC_CFG, fus.DEFAULT_VARIANT, PREP.n_windows,
-                                      sig.N_CLASSES, trn.stream(TRAIN_CFG.seed, 0))
+                                      sig.N_CLASSES, trn.stream(TRAIN_CFG.seed, trn._TAG_INIT))
     runs = [one_sample(record, params) for _ in range(repeats)]
     first = runs[0]
     ms = {op: 1e3 * min(r.seconds[op] for r in runs) for op in first.nodes}
