@@ -263,7 +263,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("no dataset given: pass --data or set data.manifest in the config")
     out = _make_out_dir(args.out)
     (out / "config_used.ini").write_text(serialize_settings(settings), encoding="utf-8", errors="surrogateescape")
-    splits = sig.load_dataset(settings.manifest, settings.prep.sample_rate_hz)
+    splits = sig.load_dataset(settings.manifest)
     if not splits["train"] or not splits["val"]:
         raise sig.DataError(f"manifest {settings.manifest} needs non-empty train and val splits "
                             f"(got {len(splits['train'])} train, {len(splits['val'])} val)")
@@ -297,7 +297,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"--window-seconds {args.window_seconds} yields {new_prep.n_windows} windows but the "
                 f"checkpoint's heads were trained for {prep.n_windows} (window count mismatch)")
         prep = new_prep
-    splits = sig.load_dataset(args.data, prep.sample_rate_hz)
+    splits = sig.load_dataset(args.data)
     records = splits[args.split]
     if not records:
         raise sig.DataError(f"manifest {args.data} has no records in split {args.split!r}")

@@ -199,11 +199,11 @@ def latent_query(params: dict) -> Tensor:
 
     Under `no_grad` the last result is kept, keyed on the six tensors
     it reads, which hash by identity, and returned while `params` maps
-    them to the very same objects.  Tensors are immutable and
-    `Adam.step` replaces every tensor it updates, so new values mean new
-    objects and a miss; the entry holds its key tensors, so their ids
-    cannot be reused.  With the tape live the query is always computed,
-    so gradients reach those tensors.
+    them to the very same objects.  Tensors are immutable, and `train`
+    builds new ones from its parameter vector for every map (`load(x)`),
+    so new values mean new objects and a miss; the entry holds its key
+    tensors, so their ids cannot be reused.  With the tape live the
+    query is always computed, so gradients reach those tensors.
     """
     tensors = _query_tensors(params["latents"], params, "block0.cross0.attn")
     return (_score_query if nm._grad_enabled.get() else _cached_score_query)(*tensors)

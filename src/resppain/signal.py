@@ -1,7 +1,7 @@
 """Respiration recordings: types, preprocessing, synthesis, and text I/O.
 
-A recording is a 1-D sample vector at a nominal rate (100 Hz in all
-shipped configs) with a three-level pain label.  Preprocessing is
+A recording is a 1-D sample vector at the rate its file states (100 Hz
+in all shipped configs) with a three-level pain label.  Preprocessing is
 band-pass filtering to the adult breathing band, zero-padding to a fixed
 length, and segmentation into fixed-duration windows; each step is a
 standalone function so tests can pin its contract in isolation.
@@ -65,8 +65,8 @@ class RespirationRecord:
             raise DataError(f"samples must be a non-empty vector, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise DataError(f"record {self.subject_id!r} contains non-finite samples")
-        if not self.sample_rate_hz > 0:
-            raise DataError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise DataError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -165,8 +165,6 @@ def pad_to_fixed(x: np.ndarray, target_len: int = PAD_TARGET) -> np.ndarray:
         raise DataError(f"pad_to_fixed expects a vector, got shape {x.shape}")
     if x.size > target_len:
         raise DataError(f"signal of {x.size} samples exceeds pad target {target_len}")
-    if x.size == target_len:
-        return x.copy()
     out = np.zeros(target_len, dtype=np.float32)
     out[: x.size] = x
     return out
@@ -264,6 +262,7 @@ def synth_dataset(n_per_class: int, seed: int | list[int], duration_s: float = 1
 # One recording per UTF-8 text file:
 #     subject_id=<string>
 #     label=<NoPain|LowPain|HighPain>
+#     sample_rate_hz=<repr of the rate in Hz>
 #     <one decimal sample per line>
 # A dataset manifest lists "<relative_path>\t<split>" per line with split
 # in {train, val, test}.
@@ -273,40 +272,45 @@ SPLITS = ("train", "val", "test")
 
 def save_record(path: str | Path, record: RespirationRecord) -> None:
     """Write one recording; sample formatting round-trips float32 exactly."""
-    path = Path(path)
-    lines = [f"subject_id={record.subject_id}", f"label={record.label.value}"]
+    lines = [f"subject_id={record.subject_id}", f"label={record.label.value}",
+             f"sample_rate_hz={float(record.sample_rate_hz)!r}"]
     # repr of the exact float64 image of each float32 sample is lossless
     lines.extend(repr(float(v)) for v in record.samples)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_record(path: str | Path, sample_rate_hz: float = SAMPLE_RATE_HZ) -> RespirationRecord:
-    """Parse one recording file; malformed content raises DataError."""
-    path = Path(path)
+def load_record(path: str | Path) -> RespirationRecord:
+    """Parse one recording file, at the rate it states; malformed content raises DataError."""
     try:
-        raw = path.read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as e:   # undecodable bytes, or a NUL in the path
         raise DataError(f"cannot read record {path}: {e}") from e
     lines = raw.splitlines()
-    if len(lines) < 3:
-        raise DataError(f"{path}: expected two header lines plus samples, got {len(lines)} lines")
+    if len(lines) < 4:
+        raise DataError(f"{path}: expected three header lines plus samples, got {len(lines)} lines")
     if not lines[0].startswith("subject_id="):
         raise DataError(f"{path}: first line must be 'subject_id=<s>', got {lines[0]!r}")
     if not lines[1].startswith("label="):
         raise DataError(f"{path}: second line must be 'label=<level>', got {lines[1]!r}")
+    if not lines[2].startswith("sample_rate_hz="):
+        raise DataError(f"{path}: third line must be 'sample_rate_hz=<Hz>', got {lines[2]!r}")
     subject_id = lines[0][len("subject_id="):]
     label = PainLabel.from_string(lines[1][len("label="):])
     try:
-        values = np.array([float(s) for s in lines[2:] if s])
+        sample_rate_hz = float(lines[2][len("sample_rate_hz="):])
+        values = np.array([float(s) for s in lines[3:] if s])
     except ValueError as e:
-        raise DataError(f"{path}: bad sample line: {e}") from e
+        raise DataError(f"{path}: bad sample rate or sample line: {e}") from e
     with np.errstate(over="ignore"):   # a finite value past the float32 range is reported below
         samples = values.astype(np.float32)
     beyond = np.flatnonzero(~np.isfinite(samples) & np.isfinite(values))
     if beyond.size:
         raise DataError(f"{path}: sample {beyond[0]} ({float(values[beyond[0]])!r}) is outside the float32 range")
-    return RespirationRecord(samples=samples, sample_rate_hz=sample_rate_hz,
-                             subject_id=subject_id, label=label)
+    try:   # the record checks its rate and samples; say which file failed
+        return RespirationRecord(samples=samples, sample_rate_hz=sample_rate_hz,
+                                 subject_id=subject_id, label=label)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e
 
 
 def write_manifest(path: str | Path, entries: list[tuple[str, str]]) -> None:
@@ -340,12 +344,11 @@ def read_manifest(path: str | Path) -> list[tuple[str, str]]:
     return entries
 
 
-def load_dataset(manifest_path: str | Path,
-                 sample_rate_hz: float = SAMPLE_RATE_HZ) -> dict[str, list[RespirationRecord]]:
+def load_dataset(manifest_path: str | Path) -> dict[str, list[RespirationRecord]]:
     """Load every record listed in a manifest, grouped by split; record paths name their UTF-8 bytes."""
     manifest_path = Path(manifest_path)
     root = manifest_path.parent
     out: dict[str, list[RespirationRecord]] = {s: [] for s in SPLITS}
     for rel, split in read_manifest(manifest_path):
-        out[split].append(load_record(root / os.fsdecode(rel.encode("utf-8")), sample_rate_hz))
+        out[split].append(load_record(root / os.fsdecode(rel.encode("utf-8"))))
     return out

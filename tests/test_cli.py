@@ -90,7 +90,7 @@ def test_synth_layout_and_manifest(tmp_path, capsys):
     assert len(names) == 13
     entries = sig.read_manifest(out / "manifest.tsv")
     assert len(entries) == 12
-    splits = sig.load_dataset(out / "manifest.tsv", 100.0)
+    splits = sig.load_dataset(out / "manifest.tsv")
     assert (len(splits["train"]), len(splits["val"]), len(splits["test"])) == (6, 3, 3)
     # balanced labels inside each split
     labels = sorted(r.label.value for r in splits["val"])
@@ -389,7 +389,7 @@ def test_train_rejects_a_record_it_cannot_take_before_any_step(tmp_path, capsys,
     _synth(data)
     record = data / "train_0000.txt"
     lines = record.read_text().splitlines()
-    header, samples = lines[:2], lines[2:]
+    header, samples = lines[:3], lines[3:]
     record.write_text("\n".join(header + (samples * 2)[:n_samples]) + "\n")
     cfg = tmp_path / "micro.ini"
     cfg.write_text(MICRO_CONFIG.replace("[data]\n", f"[data]\nfilter_enabled = {filter_enabled}\n")
@@ -410,6 +410,27 @@ def test_train_rejects_a_record_it_cannot_take_before_any_step(tmp_path, capsys,
     err = capsys.readouterr().err
     assert "data error" in err and repr(header[0].removeprefix("subject_id=")) in err
     assert calls == []
+
+
+def test_record_rate_must_match_the_pipeline(workspace, tmp_path, capsys):
+    # the records carry their 50 Hz; a pipeline at the default 100 Hz refuses them
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--per-class", "2", "--val-per-class", "1", "--test-per-class", "1",
+                     "--duration-s", "4.0", "--sample-rate-hz", "50", "--out", str(data)]) == 0
+    cfg = tmp_path / "micro.ini"
+    cfg.write_text(MICRO_CONFIG)
+    run = tmp_path / "run"
+    rc = cli.main(["train", "--config", str(cfg), "--data", str(data / "manifest.tsv"), "--out", str(run)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "record 'train_NoPain_0000' is sampled at 50 Hz, but the pipeline expects 100 Hz" in err
+    assert not list(run.glob("*.bin"))
+    rc, err = _eval_rc(workspace["run"] / "checkpoint_best.bin", data / "manifest.tsv", capsys)
+    assert rc == 3 and "is sampled at 50 Hz, but the pipeline expects 100 Hz" in err
+    cfg.write_text(MICRO_CONFIG.replace("[data]\n", "[data]\nsample_rate_hz = 50\n"))
+    rc = cli.main(["train", "--config", str(cfg), "--data", str(data / "manifest.tsv"), "--out", str(run)])
+    assert rc == 0
+    assert (run / "checkpoint_final.bin").is_file()
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,34 @@ def test_record_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.samples, rec.samples)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_record_rate_round_trips_bit_for_bit(tmp_path_factory, rate):
+    p = tmp_path_factory.getbasetemp() / "rate.txt"
+    rec = sig.RespirationRecord(samples=np.array([0.5, -1.0]), sample_rate_hz=rate,
+                                subject_id="s", label=sig.PainLabel.LOW_PAIN)
+    sig.save_record(p, rec)
+    back = sig.load_record(p).sample_rate_hz
+    assert type(back) is float and back.hex() == rate.hex()
+
+
+@pytest.mark.parametrize("third", [None, "abc", "0", "-1", "nan", "inf"])
+def test_record_rate_line_missing_or_bad_is_named(tmp_path, third):
+    p = tmp_path / "rec.txt"
+    p.write_text("subject_id=s\nlabel=NoPain\nsample_rate_hz=50.0\n1.0\n2.0\n", encoding="utf-8")
+    assert sig.load_record(p).sample_rate_hz == 50.0   # the same file with a good rate loads
+    header = "subject_id=s\nlabel=NoPain\n" + ("" if third is None else f"sample_rate_hz={third}\n")
+    p.write_text(header + "1.0\n2.0\n", encoding="utf-8")
+    with pytest.raises(sig.DataError, match=re.escape(str(p))):
+        sig.load_record(p)
+
+
+def test_record_rejects_an_infinite_rate():
+    with pytest.raises(sig.DataError, match="sample_rate_hz must be finite and positive, got inf"):
+        sig.RespirationRecord(samples=np.ones(2), sample_rate_hz=float("inf"), subject_id="s",
+                              label=sig.PainLabel.NO_PAIN)
+
+
 def test_load_record_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("nonsense\nlabel=NoPain\n1.0\n")
@@ -380,7 +408,7 @@ def test_manifest_path_with_nul_is_a_data_error(tmp_path):
 @pytest.mark.parametrize("value", ["1e39", "-1e39", "3.5e38"])
 def test_sample_beyond_float32_range_is_named(tmp_path, value):
     rec = tmp_path / "rec.txt"
-    rec.write_text(f"subject_id=s\nlabel=NoPain\n1.0\n{value}\n", encoding="utf-8")
+    rec.write_text(f"subject_id=s\nlabel=NoPain\nsample_rate_hz=100.0\n1.0\n{value}\n", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # numpy's overflow warning would surface as an error
         with pytest.raises(sig.DataError, match=re.escape(f"sample 1 ({float(value)!r})")):
@@ -390,7 +418,7 @@ def test_sample_beyond_float32_range_is_named(tmp_path, value):
 def test_float32_max_itself_loads(tmp_path):
     rec = tmp_path / "rec.txt"
     big = float(np.finfo(np.float32).max)
-    rec.write_text(f"subject_id=s\nlabel=NoPain\n{big!r}\n{-big!r}\n", encoding="utf-8")
+    rec.write_text(f"subject_id=s\nlabel=NoPain\nsample_rate_hz=100.0\n{big!r}\n{-big!r}\n", encoding="utf-8")
     np.testing.assert_array_equal(sig.load_record(rec).samples, [big, -big])
 
 
@@ -398,6 +426,7 @@ def test_float32_max_itself_loads(tmp_path):
 # another exception or a warning; junk bytes bring invalid UTF-8, NUL and stray separators
 _BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b"])
 _LABEL = st.sampled_from([*(m.value for m in sig.PainLabel), "Agony", ""])
+_RATE = st.one_of(st.floats().map(repr), st.sampled_from(["100.0", "50", "abc", "", "1e400", "1_0"]))
 _SAMPLE = st.one_of(st.floats(width=32).map(repr),
                     st.sampled_from(["nan", "-inf", "inf", "1e39", "-1e39", "1e-50", "1" * 400, "1_0", "x"]))
 _NAME = st.sampled_from(["r.txt", "r.txt", "missing.txt", "a\x00b.txt", "", ".", "..", "m.tsv", "d\u00e4t\u00e4"])
@@ -417,7 +446,7 @@ def _bytes_with_junk(draw, text):
 def _record_bytes(draw):
     br = draw(_BREAKS)
     lines = [f"subject_id={draw(st.text(max_size=6))}", f"label={draw(_LABEL)}",
-             *draw(st.lists(_SAMPLE, max_size=6))]
+             f"sample_rate_hz={draw(_RATE)}", *draw(st.lists(_SAMPLE, max_size=6))]
     return draw(_bytes_with_junk(br.join(lines) + draw(st.sampled_from(["", br]))))
 
 

@@ -6,11 +6,12 @@ Usage (from any checkout):
 
 It builds the acceptance-criterion-10 model (16 latents x 32 wide, one
 cross-attention layer, 3 five-second windows over a 1150-sample signal,
-gated fusion) and runs one training sample the way ``training.train``
-does: augmentation, preprocessing, a training forward with dropout, the
-smoothed loss scaled by 1/batch, and ``numerics.backward``.  Every
-backward closure is wrapped at ``numerics._result``, the one place where
-ops record them, and the table prints per op:
+gated fusion) and runs one ``training.train`` call on one record, for one
+epoch at batch size 1, so the smoothed loss is not scaled by 1/8 and the
+map runs in this process.  That one training sample is the only backward
+pass; validation runs outside the tape.  Every backward closure is
+wrapped at ``numerics._result``, the one place where ops record them, and
+the table prints per op:
 
 - ``nodes``: closures that ran
 - ``grads`` and ``kB``: parent gradients they returned, and their bytes
@@ -34,9 +35,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from resppain import augment as aug  # noqa: E402
 from resppain import encoder as enc  # noqa: E402
-from resppain import fusion as fus  # noqa: E402
 from resppain import numerics as nm  # noqa: E402
 from resppain import signal as sig  # noqa: E402
 from resppain import training as trn  # noqa: E402
@@ -45,7 +44,8 @@ ENC_CFG = enc.EncoderConfig(depth=1, cross_per_block=1, self_per_block=0, n_late
                             model_dim=32, fourier_bands=6, ffn_expansion=4, dropout=0.1,
                             out_dim=32)
 PREP = sig.PreprocessConfig(window_seconds=5.0)
-TRAIN_CFG = trn.TrainConfig(batch_size=8, label_smoothing=0.1, seed=3407)
+TRAIN_CFG = trn.TrainConfig(epochs=1, batch_size=1, warmup_epochs=0, cooldown_epochs=0,
+                            label_smoothing=0.1, seed=3407)
 _RECORD = nm._result
 
 
@@ -83,20 +83,12 @@ class Census:
         return _RECORD(data, parents, counted)
 
 
-def one_sample(record: sig.RespirationRecord, params: dict) -> Census:
-    """Forward and backward of one training sample, with every closure counted.
-    It draws from the streams ``training.train`` gives record 0 in epoch 0."""
+def one_sample(record: sig.RespirationRecord) -> Census:
+    """One ``training.train`` call on ``record`` alone, with every closure counted."""
     census = Census()
-    x = aug.apply_augmentations(record.samples, aug.AugmentConfig(),
-                                trn.stream(TRAIN_CFG.seed, trn._TAG_AUGMENT, 0, 0))
-    windows, padded = trn.preprocess(x, PREP)
     nm._result = census.recording
     try:
-        logits, _ = trn.forward_logits(windows, padded, ENC_CFG, params, fus.DEFAULT_VARIANT, training=True,
-                                       rng=trn.stream(TRAIN_CFG.seed, trn._TAG_MODEL, 0, 0))
-        loss = trn.smoothed_ce_loss(logits, record.label.index, TRAIN_CFG.label_smoothing,
-                                    sig.N_CLASSES)
-        nm.backward(nm.scale(loss, 1.0 / TRAIN_CFG.batch_size))
+        trn.train([record], [record], ENC_CFG, TRAIN_CFG, PREP)
     finally:
         nm._result = _RECORD
     return census
@@ -108,9 +100,7 @@ def main(argv: list[str]) -> int:
         return 2
     repeats = int(argv[0]) if argv else 20
     record = sig.synth_dataset(1, seed=[20260818, 0], duration_s=10.0)[0]
-    params = trn.init_pipeline_params(ENC_CFG, fus.DEFAULT_VARIANT, PREP.n_windows,
-                                      sig.N_CLASSES, trn.stream(TRAIN_CFG.seed, trn._TAG_INIT))
-    runs = [one_sample(record, params) for _ in range(repeats)]
+    runs = [one_sample(record) for _ in range(repeats)]
     first = runs[0]
     ms = {op: 1e3 * min(r.seconds[op] for r in runs) for op in first.nodes}
     print(f"{'op':<17}{'nodes':>6}{'grads':>7}{'kB':>10}{'to_const':>9}{'const_kB':>10}"
