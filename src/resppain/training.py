@@ -170,8 +170,8 @@ def _prepare(records: list[sig.RespirationRecord], prep: sig.PreprocessConfig,
     prepared = []
     for r in records:
         if r.sample_rate_hz != prep.sample_rate_hz:
-            raise sig.DataError(f"record {r.subject_id!r} is sampled at {r.sample_rate_hz:g} Hz, "
-                                f"but the pipeline expects {prep.sample_rate_hz:g} Hz")
+            got, want = (repr(float(hz)).removesuffix(".0") for hz in (r.sample_rate_hz, prep.sample_rate_hz))
+            raise sig.DataError(f"record {r.subject_id!r} is sampled at {got} Hz, but the pipeline expects {want} Hz")
         if r.samples.size < min_len:
             raise sig.DataError(f"record {r.subject_id!r} has {r.samples.size} samples, "
                                 f"but augmentation needs at least {min_len}")

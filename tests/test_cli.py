@@ -427,6 +427,13 @@ def test_record_rate_must_match_the_pipeline(workspace, tmp_path, capsys):
     assert not list(run.glob("*.bin"))
     rc, err = _eval_rc(workspace["run"] / "checkpoint_best.bin", data / "manifest.tsv", capsys)
     assert rc == 3 and "is sampled at 50 Hz, but the pipeline expects 100 Hz" in err
+    # a rate that differs past the 6th significant digit is printed in full
+    near = tmp_path / "near"
+    assert cli.main(["synth", "--per-class", "2", "--val-per-class", "1", "--test-per-class", "1",
+                     "--duration-s", "4.0", "--sample-rate-hz", "100.0000001", "--out", str(near)]) == 0
+    rc = cli.main(["train", "--config", str(cfg), "--data", str(near / "manifest.tsv"), "--out", str(tmp_path / "r2")])
+    assert rc == 3
+    assert "is sampled at 100.0000001 Hz, but the pipeline expects 100 Hz" in capsys.readouterr().err
     cfg.write_text(MICRO_CONFIG.replace("[data]\n", "[data]\nsample_rate_hz = 50\n"))
     rc = cli.main(["train", "--config", str(cfg), "--data", str(data / "manifest.tsv"), "--out", str(run)])
     assert rc == 0

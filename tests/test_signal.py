@@ -341,17 +341,17 @@ def test_record_rejects_an_infinite_rate():
 
 def test_load_record_errors(tmp_path):
     p = tmp_path / "bad.txt"
-    p.write_text("nonsense\nlabel=NoPain\n1.0\n")
-    with pytest.raises(sig.DataError):
+    p.write_text("nonsense\nlabel=NoPain\nsample_rate_hz=100.0\n1.0\n")
+    with pytest.raises(sig.DataError, match="first line must be"):
         sig.load_record(p)
-    p.write_text("subject_id=s\nlabel=Agony\n1.0\n")
-    with pytest.raises(sig.DataError):
+    p.write_text("subject_id=s\nlabel=Agony\nsample_rate_hz=100.0\n1.0\n")
+    with pytest.raises(sig.DataError, match="unknown label 'Agony'"):
         sig.load_record(p)
-    p.write_text("subject_id=s\nlabel=NoPain\n1.0\nnot_a_number\n")
-    with pytest.raises(sig.DataError):
+    p.write_text("subject_id=s\nlabel=NoPain\nsample_rate_hz=100.0\n1.0\nnot_a_number\n")
+    with pytest.raises(sig.DataError, match="bad sample rate or sample line"):
         sig.load_record(p)
     p.write_text("subject_id=s\n")
-    with pytest.raises(sig.DataError):
+    with pytest.raises(sig.DataError, match="expected three header lines"):
         sig.load_record(p)
     with pytest.raises(sig.DataError):
         sig.load_record(tmp_path / "missing.txt")
