@@ -14,7 +14,7 @@ per input signal, independent of the signal's length.
 
 All attention blocks are pre-layer-norm with residual connections;
 dropout acts on each attention output and on each FFN's gated hidden
-activation (training mode only).
+activation, in training only: an rng means training, None means inference.
 """
 
 from __future__ import annotations
@@ -210,8 +210,7 @@ def latent_query(params: dict) -> Tensor:
 
 
 def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
-              dropout: float, training: bool, rng: np.random.Generator | None,
-              query: Tensor | None = None) -> Tensor:
+              dropout: float, rng: np.random.Generator | None, query: Tensor | None = None) -> Tensor:
     """Single-head attention of latents over context, residual output.
 
     Computes wo(softmax(Q K^T / sqrt(d)) V) with Q = wq(ln_q(latents)),
@@ -225,9 +224,9 @@ def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
     mix, since each row of weights sums to 1.  No array of the forward
     pass or its tape is (T, d), so cross-attention costs O(n T c)
     besides its fixed O(n d^2) latent work; self-attention (c = d,
-    T = n) does the same FLOPs as the K/V form.  Dropout acts on the
-    (n, d) output before the residual add.  Cross-attention passes the
-    token matrix as context; self-attention passes the latents
+    T = n) does the same FLOPs as the K/V form.  Given an rng, dropout
+    acts on the (n, d) output before the residual add.  Cross-attention
+    passes the token matrix as context; self-attention passes the latents
     themselves.  A given `query` is used in place of the scores' latent
     half (Q wk.w^T) / sqrt(d); it must be exactly that (`latent_query`).
     """
@@ -235,26 +234,26 @@ def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
     kn = _norm(context, params, f"{prefix}.ln_kv")
     weights = nm.softmax_rows(nm.matmul(a, nm.transpose(kn)))
     mixed = _affine(nm.matmul(weights, kn), params, f"{prefix}.wv")
-    mixed = nm.dropout(_affine(mixed, params, f"{prefix}.wo"), dropout, training, rng)
+    mixed = nm.dropout(_affine(mixed, params, f"{prefix}.wo"), dropout, rng)
     return nm.add(latents, mixed)
 
 
 def gated_ffn(x: Tensor, params: dict, prefix: str,
-              dropout: float, training: bool, rng: np.random.Generator | None) -> Tensor:
-    """Pre-norm gated feed-forward with residual: x + Wo(u * gelu(g))."""
+              dropout: float, rng: np.random.Generator | None) -> Tensor:
+    """Pre-norm gated feed-forward with residual: x + Wo(dropout(u * gelu(g), rng))."""
     h = _norm(x, params, f"{prefix}.ln")
     u = _affine(h, params, f"{prefix}.wu")
     g = _affine(h, params, f"{prefix}.wg")
     hidden = nm.mul(u, nm.gelu(g))
-    hidden = nm.dropout(hidden, dropout, training, rng)
+    hidden = nm.dropout(hidden, dropout, rng)
     return nm.add(x, _affine(hidden, params, f"{prefix}.wo"))
 
 
 def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
-           training: bool = False, rng: np.random.Generator | None = None,
-           query: Tensor | None = None) -> Tensor:
+           rng: np.random.Generator | None = None, query: Tensor | None = None) -> Tensor:
     """Signal (T,) -> embedding (out_dim,).
 
+    An rng means training, with dropout drawn from it; None means inference.
     One signal per call: batching is a caller-side loop, so an embedding
     never depends on what else shares the batch.  The latent half of the
     first cross-attention's scores, (Q wk.w^T) / sqrt(d), does not depend
@@ -271,12 +270,12 @@ def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
     for b in range(cfg.depth):
         for c in range(cfg.cross_per_block):
             base = f"block{b}.cross{c}"
-            lat = attention(lat, tokens, params, f"{base}.attn", cfg.dropout, training, rng,
+            lat = attention(lat, tokens, params, f"{base}.attn", cfg.dropout, rng,
                             query=query if b == c == 0 else None)
-            lat = gated_ffn(lat, params, f"{base}.ffn", cfg.dropout, training, rng)
+            lat = gated_ffn(lat, params, f"{base}.ffn", cfg.dropout, rng)
             for s in range(cfg.self_per_block):
-                lat = attention(lat, lat, params, f"{base}.self{s}.attn", cfg.dropout, training, rng)
-                lat = gated_ffn(lat, params, f"{base}.self{s}.ffn", cfg.dropout, training, rng)
+                lat = attention(lat, lat, params, f"{base}.self{s}.attn", cfg.dropout, rng)
+                lat = gated_ffn(lat, params, f"{base}.self{s}.ffn", cfg.dropout, rng)
     pooled = nm.mean_axis0(lat)
     return _affine(pooled, params, "proj")
 

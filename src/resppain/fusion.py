@@ -5,9 +5,9 @@ signal.  Window embeddings fuse two ways -- elementwise sum and ordered
 concatenation -- and each fused view plus the full-signal view feeds its
 own linear head.  A fourth route averages the three logit vectors. The
 default variant routes between the four with a learnable hard
-Gumbel-Softmax gate: during training one route is sampled as a one-hot
-(straight-through gradients keep the gate trainable); at inference the
-argmax route is taken deterministically, no sampling involved.
+Gumbel-Softmax gate: given an rng (training) one route is sampled as a
+one-hot (straight-through gradients keep the gate trainable); given None
+(inference) the argmax route is taken deterministically, nothing sampled.
 
 Each fusion variant is one `VARIANT_SPECS` entry (its heads and their
 input views, plus a combiner); the parameter declaration, init, forward
@@ -111,21 +111,18 @@ def sample_gumbel(rng: np.random.Generator, shape) -> np.ndarray:
     return -np.log(-np.log(np.clip(u, 1e-12, 1.0 - 1e-12)))
 
 
-def gumbel_gate(routes: list[Tensor], gate_g: Tensor, training: bool,
-                rng: np.random.Generator | None) -> tuple[Tensor, int]:
+def gumbel_gate(routes: list[Tensor], gate_g: Tensor, rng: np.random.Generator | None) -> tuple[Tensor, int]:
     """Route selection; returns (final logits, selected route index).
 
-    Training: take the hard one-hot of softmax(g + noise), for Gumbel
-    noise, with gradients through the soft weights (straight-through).
-    Inference: argmax(g), exact copy of that route's logits, nothing sampled.
+    Training (an rng): take the hard one-hot of softmax(g + noise), for Gumbel
+    noise drawn from rng, with gradients through the soft weights (straight-through).
+    Inference (None): argmax(g), exact copy of that route's logits, nothing sampled.
     """
     if gate_g.shape != (N_ROUTES,):
         raise nm.ShapeError(f"gate expects {N_ROUTES} scores, got shape {gate_g.shape}")
-    if not training:
+    if rng is None:
         chosen = int(np.argmax(gate_g.data))
         return routes[chosen], chosen
-    if rng is None:
-        raise ValueError("gumbel_gate in training mode needs an explicit rng")
     noise = sample_gumbel(rng, (N_ROUTES,))
     soft = nm.softmax_rows(nm.add_const(gate_g, noise))
     chosen = int(np.argmax(soft.data))
@@ -148,8 +145,8 @@ def fusion_param_rows(variant: str, n_windows: int, embed_dim: int, n_classes: i
 
 
 def classify(z_add: Tensor, z_concat: Tensor, z_full: Tensor, params: dict, variant: str,
-             training: bool, rng: np.random.Generator | None) -> tuple[Tensor, int | None]:
-    """Fused views -> (final class logits, gate route or None).
+             rng: np.random.Generator | None) -> tuple[Tensor, int | None]:
+    """Fused views -> (final class logits, gate route or None); an rng means training.
 
     Only the gate combiner reports a route index; the others have no
     discrete selection to log.
@@ -157,7 +154,7 @@ def classify(z_add: Tensor, z_concat: Tensor, z_full: Tensor, params: dict, vari
     spec = variant_spec(variant)
     logits = _head_logits(spec, z_add, z_concat, z_full, params)
     if spec.combiner == "gate":
-        return gumbel_gate([*logits, _mean(logits)], params["gate.g"], training, rng)
+        return gumbel_gate([*logits, _mean(logits)], params["gate.g"], rng)
     if spec.combiner == "mean":
         return _mean(logits), None
     if spec.combiner == "coef":

@@ -419,17 +419,15 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # ---------------------------------------------------------------------------
 # stochastic / straight-through
 
-def dropout(a: Tensor, rate: float, training: bool, rng: np.random.Generator | None) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with probability rate, scale kept by 1/(1-rate).
 
-    Identity when training is False (no RNG consumed).
+    An rng means training: the mask is drawn from it.  None is inference: identity.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must satisfy 0 <= rate < 1, got {rate}")
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
-    if rng is None:
-        raise ValueError("dropout in training mode needs an explicit rng")
     keep = (rng.random(a.shape) >= rate)
     factor = 1.0 / (1.0 - rate)
     out = _store(a.data.astype(np.float64) * keep * factor, a)

@@ -67,6 +67,8 @@ class RespirationRecord:
             raise DataError(f"record {self.subject_id!r} contains non-finite samples")
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise DataError(f"sample_rate_hz must be finite and positive, got {self.sample_rate_hz}")
+        if "".join(self.subject_id.splitlines()) != self.subject_id:
+            raise DataError(f"subject id {self.subject_id!r} holds a line break, which a record file cannot store")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -296,9 +298,13 @@ def load_record(path: str | Path) -> RespirationRecord:
         raise DataError(f"{path}: third line must be 'sample_rate_hz=<Hz>', got {lines[2]!r}")
     subject_id = lines[0][len("subject_id="):]
     label = PainLabel.from_string(lines[1][len("label="):])
+    numbers = [lines[2][len("sample_rate_hz="):], *(s for s in lines[3:] if s)]
+    for s in numbers:   # float() also takes '1_0', ' 1.0' and non-ASCII digits; repr writes none of them
+        if not s.isascii() or "_" in s or s != s.strip():
+            raise DataError(f"{path}: number line {s!r} must be plain ASCII, with no '_' or padding")
     try:
-        sample_rate_hz = float(lines[2][len("sample_rate_hz="):])
-        values = np.array([float(s) for s in lines[3:] if s])
+        sample_rate_hz = float(numbers[0])
+        values = np.array([float(s) for s in numbers[1:]])
     except ValueError as e:
         raise DataError(f"{path}: bad sample rate or sample line: {e}") from e
     with np.errstate(over="ignore"):   # a finite value past the float32 range is reported below

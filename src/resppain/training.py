@@ -183,9 +183,9 @@ def _prepare(records: list[sig.RespirationRecord], prep: sig.PreprocessConfig,
 
 
 def forward_views(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderConfig,
-                  params: dict[str, Tensor], training: bool,
-                  rng: np.random.Generator | None) -> tuple[Tensor, Tensor, Tensor]:
-    """Encode every window plus the full signal with the shared encoder.
+                  params: dict[str, Tensor], rng: np.random.Generator | None) -> tuple[Tensor, Tensor, Tensor]:
+    """Encode every window plus the full signal with the shared encoder;
+    an rng means training (dropout drawn from it), None means inference.
 
     The latent half of the first cross-attention's scores,
     (wq(ln_q(latents)) wk.w^T) / sqrt(d) (`enc.latent_query`), reads no
@@ -195,18 +195,19 @@ def forward_views(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderC
     order.
     """
     query = enc.latent_query(params)
-    embeddings = [enc.encode(windows[i], enc_cfg, params, training, rng, query)
+    embeddings = [enc.encode(windows[i], enc_cfg, params, rng, query)
                   for i in range(windows.shape[0])]
-    z_full = enc.encode(padded, enc_cfg, params, training, rng, query)
+    z_full = enc.encode(padded, enc_cfg, params, rng, query)
     z_add, z_concat = fus.fuse_windows(embeddings)
     return z_add, z_concat, z_full
 
 
 def forward_logits(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderConfig,
-                   params: dict[str, Tensor], variant: str, training: bool,
+                   params: dict[str, Tensor], variant: str,
                    rng: np.random.Generator | None) -> tuple[Tensor, int | None]:
-    z_add, z_concat, z_full = forward_views(windows, padded, enc_cfg, params, training, rng)
-    return fus.classify(z_add, z_concat, z_full, params, variant, training, rng)
+    """(class logits, gate route or None) of one sample; an rng means training, None inference."""
+    z_add, z_concat, z_full = forward_views(windows, padded, enc_cfg, params, rng)
+    return fus.classify(z_add, z_concat, z_full, params, variant, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +262,7 @@ def _eval_record(item: tuple[np.ndarray, np.ndarray, int], enc_cfg: enc.EncoderC
     """
     windows, padded, label_idx = item
     with nm.no_grad():
-        logits, _ = forward_logits(windows, padded, enc_cfg, params, variant,
-                                   training=False, rng=None)
+        logits, _ = forward_logits(windows, padded, enc_cfg, params, variant, None)
         return int(np.argmax(logits.data)), smoothed_ce_loss(logits, label_idx, 0.0, sig.N_CLASSES).item()
 
 
@@ -402,8 +402,7 @@ def train(train_records: list[sig.RespirationRecord],
             samples = aug.apply_augmentations(samples, aug_cfg, stream(train_cfg.seed, _TAG_AUGMENT, epoch, idx))
         windows, padded = preprocess(samples, prep)
         rng_model = stream(train_cfg.seed, _TAG_MODEL, epoch, idx)
-        logits, route = forward_logits(windows, padded, enc_cfg, params, variant,
-                                       training=True, rng=rng_model)
+        logits, route = forward_logits(windows, padded, enc_cfg, params, variant, rng_model)
         loss = smoothed_ce_loss(logits, rec.label.index, train_cfg.label_smoothing, n_classes)
         value = loss.item()
         if not math.isfinite(value):

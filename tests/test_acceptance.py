@@ -47,14 +47,14 @@ def test_criterion_01_gradients_match_finite_differences():
     def hard_loss_tensors(arrays):
         params = {k: nm.parameter(v, dtype=np.float64) for k, v in arrays.items()}
         logits, _ = trn.forward_logits(windows, padded, enc_cfg, params, "lf_avg_gate",
-                                       training=True, rng=np.random.default_rng(123))
+                                       np.random.default_rng(123))
         return trn.smoothed_ce_loss(logits, target, smoothing, 3), params
 
     def hard_loss_value(arrays):
         with nm.no_grad():
             params = {k: nm.constant(v, dtype=np.float64) for k, v in arrays.items()}
             logits, _ = trn.forward_logits(windows, padded, enc_cfg, params, "lf_avg_gate",
-                                           training=True, rng=np.random.default_rng(123))
+                                           np.random.default_rng(123))
             return float(trn.smoothed_ce_loss(logits, target, smoothing, 3).data)
 
     loss, params = hard_loss_tensors(base)
@@ -96,8 +96,7 @@ def test_criterion_01_gradients_match_finite_differences():
     gamma = fus.sample_gumbel(np.random.default_rng(123), (4,))
     with nm.no_grad():
         consts = {k: nm.constant(v, dtype=np.float64) for k, v in base.items()}
-        z = trn.forward_views(windows, padded, enc_cfg, consts, True,
-                              np.random.default_rng(123))
+        z = trn.forward_views(windows, padded, enc_cfg, consts, np.random.default_rng(123))
         heads = fus._head_logits(fus.VARIANT_SPECS["lf_avg_gate"], *z, consts)
         routes = np.stack([t.data for t in (*heads, fus._mean(heads))]).astype(np.float64)
 
@@ -169,12 +168,12 @@ def test_criterion_02_attention_matches_bruteforce_oracle():
         # cross-attention over a random context
         ctx = rng.normal(0.0, 1.0, (t, kv)).astype(np.float32)
         p = _attention_params(rng, d, kv)
-        got = enc.attention(nm.constant(lat), nm.constant(ctx), p, "a", 0.0, False, None)
+        got = enc.attention(nm.constant(lat), nm.constant(ctx), p, "a", 0.0, None)
         want = oracles.attention_brute_force(lat, ctx, *_oracle_args(p))
         worst = max(worst, float(np.max(np.abs(got.data - want))))
         # self-attention: the latents are their own context
         ps = _attention_params(rng, d, d)
-        got_s = enc.attention(nm.constant(lat), nm.constant(lat), ps, "a", 0.0, False, None)
+        got_s = enc.attention(nm.constant(lat), nm.constant(lat), ps, "a", 0.0, None)
         want_s = oracles.attention_brute_force(lat, lat, *_oracle_args(ps))
         worst = max(worst, float(np.max(np.abs(got_s.data - want_s))))
     assert worst < 1e-5, worst
@@ -285,7 +284,7 @@ def test_criterion_07_gate_contract():
 
     # inference: deterministic argmax, the route tensor itself
     for _ in range(100):
-        logits, chosen = fus.gumbel_gate(routes, gate, training=False, rng=None)
+        logits, chosen = fus.gumbel_gate(routes, gate, None)
         assert chosen == int(np.argmax(g))
         assert logits is routes[chosen]
 
@@ -294,7 +293,7 @@ def test_criterion_07_gate_contract():
     counts = np.zeros(4)
     n_draws = 10_000
     for _ in range(n_draws):
-        logits, chosen = fus.gumbel_gate(routes, gate, training=True, rng=rng)
+        logits, chosen = fus.gumbel_gate(routes, gate, rng)
         np.testing.assert_array_equal(logits.data, routes_np[chosen])
         counts[chosen] += 1
     freqs = counts / n_draws

@@ -139,7 +139,7 @@ def test_attention_matches_brute_force_oracle():
         ctx = rng.normal(size=(t, kv_dim)).astype(np.float32)
         bk = rng.normal(0.0, 0.3, d)
         got = enc.attention(nm.constant(lat), nm.constant(ctx), params, "a",
-                            dropout=0.0, training=False, rng=None).data
+                            dropout=0.0, rng=None).data
         want = oracles.attention_brute_force(
             lat, ctx,
             params["a.wq.w"].data, params["a.wq.b"].data,
@@ -169,7 +169,7 @@ def test_attention_builds_no_token_by_model_width_array(monkeypatch):
         return real_result(data, parents, bwd)
 
     monkeypatch.setattr(nm, "_result", recording_result)
-    enc.attention(lat, ctx, params, "a", dropout=0.2, training=True, rng=np.random.default_rng(0))
+    enc.attention(lat, ctx, params, "a", dropout=0.2, rng=np.random.default_rng(0))
     assert (n, t) in shapes                       # the scores themselves
     assert not [s for s in shapes if t in s and d in s], shapes
 
@@ -186,7 +186,7 @@ def test_attention_gradcheck_token_width_below_model_width():
 
     def build(tensors):
         params = dict(zip(names, tensors[2:]))
-        return weighted_sum(enc.attention(tensors[0], tensors[1], params, "a", 0.0, False, None), seed=3)
+        return weighted_sum(enc.attention(tensors[0], tensors[1], params, "a", 0.0, None), seed=3)
 
     assert gradcheck(build, shapes, seed=31) < 1e-5
 
@@ -199,10 +199,10 @@ def test_attention_single_token_ignores_queries():
     params = _attention_param_pack(5, cfg, seed=3)
     lat = rng.normal(size=(4, 8)).astype(np.float32)
     ctx = rng.normal(size=(1, 5)).astype(np.float32)
-    out1 = enc.attention(nm.constant(lat), nm.constant(ctx), params, "a", 0.0, False, None).data
+    out1 = enc.attention(nm.constant(lat), nm.constant(ctx), params, "a", 0.0, None).data
     params2 = dict(params)
     params2["a.wq.w"] = nm.parameter(rng.normal(size=(8, 8)).astype(np.float32))
-    out2 = enc.attention(nm.constant(lat), nm.constant(ctx), params2, "a", 0.0, False, None).data
+    out2 = enc.attention(nm.constant(lat), nm.constant(ctx), params2, "a", 0.0, None).data
     np.testing.assert_array_equal(out1, out2)
     # every latent row receives the same mixed vector
     delta = out1 - lat
@@ -217,8 +217,8 @@ def test_attention_identical_tokens_context_size_invariant():
     row = rng.normal(size=6).astype(np.float32)
     ctx3 = np.tile(row, (3, 1))
     ctx9 = np.tile(row, (9, 1))
-    out3 = enc.attention(nm.constant(lat), nm.constant(ctx3), params, "a", 0.0, False, None).data
-    out9 = enc.attention(nm.constant(lat), nm.constant(ctx9), params, "a", 0.0, False, None).data
+    out3 = enc.attention(nm.constant(lat), nm.constant(ctx3), params, "a", 0.0, None).data
+    out9 = enc.attention(nm.constant(lat), nm.constant(ctx9), params, "a", 0.0, None).data
     np.testing.assert_allclose(out3, out9, atol=1e-6)
 
 
@@ -227,7 +227,7 @@ def test_ffn_residual_identity_when_output_weights_zero():
     params = enc.draw_params(enc._ffn_rows("f", cfg.model_dim, cfg.ffn_expansion), np.random.default_rng(5))
     params["f.wo.w"] = nm.parameter(np.zeros((8, 4), dtype=np.float32))
     x = np.random.default_rng(6).normal(size=(3, 4)).astype(np.float32)
-    out = enc.gated_ffn(nm.constant(x), params, "f", 0.0, False, None).data
+    out = enc.gated_ffn(nm.constant(x), params, "f", 0.0, None).data
     np.testing.assert_array_equal(out, x)
 
 
@@ -256,13 +256,13 @@ def test_encode_dropout_reproducible_and_stochastic():
     cfg = dataclasses.replace(TINY, dropout=0.3)
     params = _params(cfg, seed=13)
     x = np.random.default_rng(14).normal(size=30).astype(np.float32)
-    a = enc.encode(x, cfg, params, training=True, rng=np.random.default_rng(99)).data
-    b = enc.encode(x, cfg, params, training=True, rng=np.random.default_rng(99)).data
-    c = enc.encode(x, cfg, params, training=True, rng=np.random.default_rng(100)).data
+    a = enc.encode(x, cfg, params, rng=np.random.default_rng(99)).data
+    b = enc.encode(x, cfg, params, rng=np.random.default_rng(99)).data
+    c = enc.encode(x, cfg, params, rng=np.random.default_rng(100)).data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     # eval path ignores dropout entirely
-    d = enc.encode(x, cfg, params, training=False, rng=None).data
+    d = enc.encode(x, cfg, params, rng=None).data
     e = enc.encode(x, cfg, params).data
     np.testing.assert_array_equal(d, e)
 
@@ -280,8 +280,7 @@ def test_encode_batch_composition_invariance():
         solo = [enc.encode(w, cfg, params).data for w in windows]
         solo_full = enc.encode(padded, cfg, params).data
         with nm.no_grad():
-            z_add, z_concat, z_full = trn.forward_views(windows, padded, cfg, params,
-                                                        training=False, rng=None)
+            z_add, z_concat, z_full = trn.forward_views(windows, padded, cfg, params, None)
         np.testing.assert_array_equal(z_full.data, solo_full)
         np.testing.assert_array_equal(z_concat.data, np.concatenate(solo))
         np.testing.assert_array_equal(
@@ -301,9 +300,9 @@ def test_forward_views_computes_first_query_once(monkeypatch):
         return real_norm(a, gain, bias, eps)
 
     monkeypatch.setattr(nm, "layer_norm", counting_norm)
-    for training in (False, True):
+    for rng in (None, np.random.default_rng(0)):
         calls.clear()
-        trn.forward_views(windows, padded, TINY, params, training, np.random.default_rng(0))
+        trn.forward_views(windows, padded, TINY, params, rng)
         assert sum(calls) == 1
         assert len(calls) == 1 + 4 * 2    # plus ln_kv and the FFN norm per encode
 

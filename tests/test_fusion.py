@@ -96,43 +96,26 @@ def test_gate_inference_returns_selected_route_tensor_exactly():
     g = np.array([0.1, 1.5, -0.3, 0.9], dtype=np.float32)
     params["gate.g"] = nm.parameter(g)
     routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
-    logits, chosen = fus.gumbel_gate(routes, params["gate.g"], training=False, rng=None)
+    logits, chosen = fus.gumbel_gate(routes, params["gate.g"], None)
     assert chosen == 1
     assert logits is routes[1]   # the route tensor itself, bit-for-bit
     # classify reports that argmax route at inference; gateless variants report none
     z_add, z_concat, z_full = _vec(rng, 8), _vec(rng, 24), _vec(rng, 8)
-    logits, route = fus.classify(z_add, z_concat, z_full, params, "lf_avg_gate", False, None)
+    logits, route = fus.classify(z_add, z_concat, z_full, params, "lf_avg_gate", None)
     assert route == 1
     assert logits.data.tobytes() == _routes(z_add, z_concat, z_full, params)[1].data.tobytes()
-    assert fus.classify(z_add, z_concat, z_full, _fusion_params("lf_avg"), "lf_avg",
-                        False, None)[1] is None
-
-
-def test_gate_inference_consumes_no_rng():
-    rng = np.random.default_rng(6)
-    state = rng.bit_generator.state["state"]["state"]
-    params = _fusion_params("lf_avg_gate", seed=7)
-    routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
-    before = np.random.default_rng(8)
-    fus.gumbel_gate(routes, params["gate.g"], training=False, rng=before)
-    assert before.bit_generator.state["state"]["state"] == \
-        np.random.default_rng(8).bit_generator.state["state"]["state"]
-    assert rng.bit_generator.state["state"]["state"] != state   # sanity: _vec consumed
+    assert fus.classify(z_add, z_concat, z_full, _fusion_params("lf_avg"), "lf_avg", None)[1] is None
 
 
 def test_gate_training_emits_hard_one_hot_mixture():
     rng = np.random.default_rng(9)
     params = _fusion_params("lf_avg_gate", seed=10)
     routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
-    logits, chosen = fus.gumbel_gate(routes, params["gate.g"], training=True,
-                                     rng=np.random.default_rng(11))
+    logits, chosen = fus.gumbel_gate(routes, params["gate.g"], np.random.default_rng(11))
     assert 0 <= chosen < 4
     np.testing.assert_allclose(logits.data, routes[chosen].data, atol=1e-6)
-    with pytest.raises(ValueError):
-        fus.gumbel_gate(routes, params["gate.g"], training=True, rng=None)
     with pytest.raises(nm.ShapeError):
-        fus.gumbel_gate(routes, nm.parameter(np.zeros(3, np.float32)), True,
-                        np.random.default_rng(0))
+        fus.gumbel_gate(routes, nm.parameter(np.zeros(3, np.float32)), np.random.default_rng(0))
 
 
 def test_gate_selection_rates_match_softmax_oracle():
@@ -171,7 +154,7 @@ def test_gate_training_selection_through_full_path():
     gate_rng = np.random.default_rng(16)
     for _ in range(n):
         with nm.no_grad():
-            _, chosen = fus.gumbel_gate(routes, params["gate.g"], True, gate_rng)
+            _, chosen = fus.gumbel_gate(routes, params["gate.g"], gate_rng)
         counts[chosen] += 1
     np.testing.assert_allclose(counts / n, want, atol=0.025)
 
@@ -183,7 +166,7 @@ def test_gate_gradient_flows_to_scores():
         params = _fusion_params("lf_avg_gate", seed=17)
         params["gate.g"] = nm.parameter(np.asarray(g_values, dtype=np.float32))
         routes = _routes(_vec(rng, 8), _vec(rng, 24), _vec(rng, 8), params)
-        logits, _ = fus.gumbel_gate(routes, params["gate.g"], True, np.random.default_rng(18))
+        logits, _ = fus.gumbel_gate(routes, params["gate.g"], np.random.default_rng(18))
         loss = nm.scale(nm.sum_all(nm.mul(logits, logits)), 0.5)
         nm.backward(loss)
         return params["gate.g"].grad
@@ -228,9 +211,8 @@ def test_classify_variant_contracts():
 
     for variant in fus.VARIANTS:
         params = _fusion_params(variant, seed=21)
-        needs_rng = variant == "lf_avg_gate"
-        logits, route = fus.classify(z_add, z_concat, z_full, params, variant,
-                                     training=needs_rng, rng=np.random.default_rng(22))
+        rng_or_none = np.random.default_rng(22) if variant == "lf_avg_gate" else None
+        logits, route = fus.classify(z_add, z_concat, z_full, params, variant, rng_or_none)
         assert logits.shape == (3,)
         if variant == "lf_avg_gate":
             assert route is not None and 0 <= route < 4
@@ -238,7 +220,7 @@ def test_classify_variant_contracts():
             assert route is None
 
     with pytest.raises(ValueError):
-        fus.classify(z_add, z_concat, z_full, {}, "bogus", False, None)
+        fus.classify(z_add, z_concat, z_full, {}, "bogus", None)
 
 
 def test_classify_concatenates_only_multi_view_head_inputs(monkeypatch):
@@ -257,7 +239,7 @@ def test_classify_concatenates_only_multi_view_head_inputs(monkeypatch):
             "lf_avg": [32], "lf_coef": [32, 2]}
     for variant in fus.VARIANTS:
         widths.clear()
-        fus.classify(z_add, z_concat, z_full, _fusion_params(variant), variant, False, None)
+        fus.classify(z_add, z_concat, z_full, _fusion_params(variant), variant, None)
         assert widths == want[variant], variant
 
 
@@ -265,7 +247,7 @@ def test_classify_lf_avg_is_exact_half_sum():
     rng = np.random.default_rng(23)
     z_add, z_concat, z_full = _vec(rng, 8), _vec(rng, 24), _vec(rng, 8)
     params = _fusion_params("lf_avg", seed=24)
-    logits, _ = fus.classify(z_add, z_concat, z_full, params, "lf_avg", False, None)
+    logits, _ = fus.classify(z_add, z_concat, z_full, params, "lf_avg", None)
     l_fused = fus._head(nm.concat_vec([z_add, z_concat]), params, "head_fused")
     l_full = fus._head(z_full, params, "head_full")
     want = 0.5 * (l_fused.data.astype(np.float64) + l_full.data)
@@ -276,9 +258,9 @@ def test_classify_lf_coef_blend_at_zero_alpha_is_midpoint():
     rng = np.random.default_rng(25)
     z_add, z_concat, z_full = _vec(rng, 8), _vec(rng, 24), _vec(rng, 8)
     params = _fusion_params("lf_coef", seed=26)      # alpha starts at 0
-    logits, _ = fus.classify(z_add, z_concat, z_full, params, "lf_coef", False, None)
+    logits, _ = fus.classify(z_add, z_concat, z_full, params, "lf_coef", None)
     params_avg = {k: v for k, v in params.items() if k != "coef.alpha"}
-    want, _ = fus.classify(z_add, z_concat, z_full, params_avg, "lf_avg", False, None)
+    want, _ = fus.classify(z_add, z_concat, z_full, params_avg, "lf_avg", None)
     np.testing.assert_allclose(logits.data, want.data, atol=1e-6)
     # alpha gets a gradient
     loss = nm.sum_all(nm.mul(logits, logits))
@@ -291,6 +273,6 @@ def test_classify_deterministic_at_inference():
     z_add, z_concat, z_full = _vec(rng, 8), _vec(rng, 24), _vec(rng, 8)
     for variant in fus.VARIANTS:
         params = _fusion_params(variant, seed=28)
-        a, _ = fus.classify(z_add, z_concat, z_full, params, variant, False, None)
-        b, _ = fus.classify(z_add, z_concat, z_full, params, variant, False, None)
+        a, _ = fus.classify(z_add, z_concat, z_full, params, variant, None)
+        b, _ = fus.classify(z_add, z_concat, z_full, params, variant, None)
         np.testing.assert_array_equal(a.data, b.data)

@@ -281,7 +281,7 @@ def test_grad_dropout_fixed_mask():
     # fixed, so finite differences see a deterministic function.
     def build(p):
         rng = np.random.default_rng(99)
-        return weighted_sum(nm.dropout(p[0], 0.4, training=True, rng=rng))
+        return weighted_sum(nm.dropout(p[0], 0.4, rng))
 
     err = gradcheck(build, [(8, 8)], seed=28)
     assert err < TOL
@@ -328,7 +328,7 @@ _GRAPH_OPS = {
     "softmax_rows": lambda x, rng: nm.softmax_rows(x[0]),
     "log_softmax": lambda x, rng: nm.log_softmax(x[0]),
     "layer_norm": lambda x, rng: nm.layer_norm(*x),
-    "dropout": lambda x, rng: nm.dropout(x[0], 0.3, training=True, rng=rng),
+    "dropout": lambda x, rng: nm.dropout(x[0], 0.3, rng),
 }
 
 
@@ -414,7 +414,7 @@ def test_random_op_graphs_pass_gradcheck(graph):
 def test_dropout_statistics():
     rng = np.random.default_rng(123)
     x = nm.constant(np.ones(100_000, dtype=np.float32))
-    y = nm.dropout(x, 0.3, training=True, rng=rng).data
+    y = nm.dropout(x, 0.3, rng).data
     zero_frac = float((y == 0).mean())
     assert abs(zero_frac - 0.3) < 0.01
     kept = y[y != 0]
@@ -422,15 +422,9 @@ def test_dropout_statistics():
     np.testing.assert_allclose(y.mean(), 1.0, atol=0.01)
 
 
-def test_dropout_eval_is_identity_and_consumes_no_rng():
-    rng = np.random.default_rng(7)
-    before = rng.bit_generator.state["state"]["state"]
+def test_dropout_without_rng_is_identity():
     x = nm.constant(np.arange(10, dtype=np.float32))
-    y = nm.dropout(x, 0.5, training=False, rng=rng)
-    assert y is x
-    assert rng.bit_generator.state["state"]["state"] == before
-    with pytest.raises(ValueError):
-        nm.dropout(x, 0.5, training=True, rng=None)
+    assert nm.dropout(x, 0.5, None) is x
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +582,7 @@ def _every_op_output():
         "mean_axis0": nm.mean_axis0(m), "sum_all": nm.sum_all(m), "gelu": nm.gelu(m),
         "sigmoid": nm.sigmoid(m), "softmax_rows": nm.softmax_rows(m),
         "log_softmax": nm.log_softmax(v), "layer_norm": nm.layer_norm(m, g, b),
-        "dropout": nm.dropout(m, 0.5, True, np.random.default_rng(0)),
+        "dropout": nm.dropout(m, 0.5, np.random.default_rng(0)),
         "straight_through": nm.straight_through(v, np.ones(4)),
     }
 

@@ -242,6 +242,9 @@ def test_record_validation():
         sig.RespirationRecord(np.array([1.0, np.nan], dtype=np.float32), FS, "s", sig.PainLabel.NO_PAIN)
     with pytest.raises(sig.DataError):
         sig.RespirationRecord(np.ones(5, dtype=np.float32), 0.0, "s", sig.PainLabel.NO_PAIN)
+    for sid in ("x\x85y", "a\nlabel=HighPain", "s\r"):   # its record file could not hold the id
+        with pytest.raises(sig.DataError, match=re.escape(repr(sid))):
+            sig.RespirationRecord(np.ones(5, dtype=np.float32), FS, sid, sig.PainLabel.NO_PAIN)
     rec = sig.RespirationRecord(np.ones(5, dtype=np.float64), FS, "s", sig.PainLabel.LOW_PAIN)
     assert rec.samples.dtype == np.float32
     with pytest.raises(ValueError):
@@ -347,7 +350,7 @@ def test_load_record_errors(tmp_path):
     p.write_text("subject_id=s\nlabel=Agony\nsample_rate_hz=100.0\n1.0\n")
     with pytest.raises(sig.DataError, match="unknown label 'Agony'"):
         sig.load_record(p)
-    p.write_text("subject_id=s\nlabel=NoPain\nsample_rate_hz=100.0\n1.0\nnot_a_number\n")
+    p.write_text("subject_id=s\nlabel=NoPain\nsample_rate_hz=100.0\n1.0\nnot-a-number\n")
     with pytest.raises(sig.DataError, match="bad sample rate or sample line"):
         sig.load_record(p)
     p.write_text("subject_id=s\n")
@@ -422,8 +425,57 @@ def test_float32_max_itself_loads(tmp_path):
     np.testing.assert_array_equal(sig.load_record(rec).samples, [big, -big])
 
 
+# well-formed records and manifests: any fields a record can be built from, and
+# manifest rows that name its file
+_RECORD_FIELDS = st.tuples(st.text(), st.sampled_from(list(sig.PainLabel)),
+                           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                           st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                                    min_size=1, max_size=6))
+_MANIFEST_ENTRIES = st.lists(st.tuples(st.just("r.txt"), st.sampled_from(sig.SPLITS)), min_size=1, max_size=3)
+
+
+def _record(fields) -> sig.RespirationRecord:
+    subject_id, label, rate, samples = fields
+    return sig.RespirationRecord(np.array(samples, dtype=np.float32), rate, subject_id, label)
+
+
+_RECORDS = _RECORD_FIELDS.filter(lambda f: "".join(f[0].splitlines()) == f[0]).map(_record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORD_FIELDS, _MANIFEST_ENTRIES)
+def test_record_file_round_trips_or_the_record_is_refused(tmp_path_factory, fields, entries):
+    try:
+        rec = _record(fields)
+    except sig.DataError as e:   # only an id its file cannot hold is refused, by name
+        assert repr(fields[0]) in str(e)
+        return
+    root = tmp_path_factory.getbasetemp() / "round_trip"
+    root.mkdir(exist_ok=True)
+    sig.save_record(root / "r.txt", rec)
+    sig.write_manifest(root / "m.tsv", entries)
+    loaded = sig.load_dataset(root / "m.tsv")
+    assert sum(len(v) for v in loaded.values()) == len(entries)
+    for back in (r for split in loaded.values() for r in split):
+        assert (back.subject_id, back.label) == (rec.subject_id, rec.label)
+        assert back.sample_rate_hz.hex() == float(rec.sample_rate_hz).hex()
+        assert back.samples.tobytes() == rec.samples.tobytes()
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1.0", "1.0 ", "\u0661"])
+@pytest.mark.parametrize("line", ["rate", "sample"])
+def test_number_lines_must_be_plain_ascii(tmp_path, line, text):
+    # float() takes each of these, the Arabic-Indic digit one as 1.0
+    rate, sample = (text, "2.0") if line == "rate" else ("100.0", text)
+    p = tmp_path / "rec.txt"
+    p.write_text(f"subject_id=s\nlabel=NoPain\nsample_rate_hz={rate}\n1.0\n{sample}\n", encoding="utf-8")
+    with pytest.raises(sig.DataError, match=re.escape(f"{p}: number line {text!r}")):
+        sig.load_record(p)
+
+
 # random record and manifest bytes: load_dataset loads them or raises DataError, never
-# another exception or a warning; junk bytes bring invalid UTF-8, NUL and stray separators
+# another exception or a warning.  Each file is either well formed or made of random
+# fields with junk bytes, which bring invalid UTF-8, NUL and stray separators.
 _BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028", "\x0b"])
 _LABEL = st.sampled_from([*(m.value for m in sig.PainLabel), "Agony", ""])
 _RATE = st.one_of(st.floats().map(repr), st.sampled_from(["100.0", "50", "abc", "", "1e400", "1_0"]))
@@ -458,12 +510,18 @@ def _manifest_bytes(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_record_bytes(), _manifest_bytes())
+@given(st.one_of(_RECORDS, _record_bytes()), st.one_of(_MANIFEST_ENTRIES, _manifest_bytes()))
 def test_random_record_and_manifest_bytes_raise_only_data_error(tmp_path_factory, record, manifest):
     root = tmp_path_factory.getbasetemp() / "fuzz_dataset"
     root.mkdir(exist_ok=True)
-    (root / "r.txt").write_bytes(record)
-    (root / "m.tsv").write_bytes(manifest)
+    if isinstance(record, bytes):
+        (root / "r.txt").write_bytes(record)
+    else:
+        sig.save_record(root / "r.txt", record)
+    if isinstance(manifest, bytes):
+        (root / "m.tsv").write_bytes(manifest)
+    else:
+        sig.write_manifest(root / "m.tsv", manifest)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
