@@ -165,7 +165,7 @@ def encoder_param_rows(cfg: EncoderConfig) -> Iterator[ParamRow]:
 
 
 def _affine(x: Tensor, params: dict, prefix: str) -> Tensor:
-    return nm.add(nm.matmul(x, params[f"{prefix}.w"]), params[f"{prefix}.b"])
+    return nm.matmul(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def _norm(x: Tensor, params: dict, prefix: str) -> Tensor:
@@ -183,7 +183,7 @@ def _query_tensors(latents: Tensor, params: dict, prefix: str) -> tuple[Tensor, 
 def _score_query(latents: Tensor, ln_g: Tensor, ln_b: Tensor, wq_w: Tensor, wq_b: Tensor, wk_w: Tensor) -> Tensor:
     """(q wk.w^T) / sqrt(d) with q = wq(ln_q(latents)): the latent half of
     the attention scores, (n, c)."""
-    q = nm.add(nm.matmul(nm.layer_norm(latents, ln_g, ln_b), wq_w), wq_b)
+    q = nm.matmul(nm.layer_norm(latents, ln_g, ln_b), wq_w, wq_b)
     return nm.scale(nm.matmul(q, nm.transpose(wk_w)), 1.0 / np.sqrt(latents.shape[1]))
 
 

@@ -88,7 +88,7 @@ def _head(z: Tensor, params: dict, prefix: str) -> Tensor:
         raise nm.ShapeError(
             f"{prefix} head expects input width {w.shape[0]}, got {z.shape[0]} "
             f"(window count mismatch between checkpoint and data?)")
-    return nm.add(nm.matmul(z, w), params[f"{prefix}.b"])
+    return nm.matmul(z, w, params[f"{prefix}.b"])
 
 
 def _head_logits(spec: VariantSpec, z_add: Tensor, z_concat: Tensor, z_full: Tensor,

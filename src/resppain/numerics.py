@@ -15,11 +15,12 @@ Precision policy:
   ``add_const``, ``dropout`` and the transcendental ops: a float32
   product with a Python float rounded through float64 is not always the
   native float32 product.
-- Elementwise ``add`` and ``mul`` of two storage-dtype operands run
-  natively.  The float64 round-trip cannot change a bit there: the sum
-  or product of two p-bit floats rounded first to q bits and then to p
-  bits equals the direct rounding whenever q >= 2p + 2 (Figueroa 1995,
-  "When is double rounding innocuous?"), and 53 >= 2 * 24 + 2.
+- Elementwise ``add`` and ``mul`` of two storage-dtype operands, and
+  ``matmul``'s bias add to its rounded contraction, run natively.  The
+  float64 round-trip cannot change a bit there: the sum or product of
+  two p-bit floats rounded first to q bits and then to p bits equals the
+  direct rounding whenever q >= 2p + 2 (Figueroa 1995, "When is double
+  rounding innocuous?"), and 53 >= 2 * 24 + 2.
 - Backward closures capture the operand tensors and widen them to
   float64 only when the closure runs, so a live tape holds no float64
   copy of any weight or activation.  ``gelu`` keeps its float64 Phi(x),
@@ -157,46 +158,45 @@ def _check_same_dtype(*ts: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(m,k)@(k,n)->(m,n); also (k,)@(k,n)->(n,).
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """(m,k)@(k,n)->(m,n); also (k,)@(k,n)->(n,); plus an optional (n,) bias.
 
     Contractions run in float64 and round once to the storage dtype, so
     small shapes agree bit-for-bit with a sequential triple-loop oracle.
+    The bias is then added natively, on each row (see the precision policy).
     """
-    _check_same_dtype(a, b)
+    parents = (a, b) if bias is None else (a, b, bias)
+    _check_same_dtype(*parents)
     if a.data.ndim not in (1, 2) or b.data.ndim != 2:
         raise ShapeError(f"matmul expects a 1-D/2-D operand times a matrix, got {a.shape} @ {b.shape}")
     if a.data.shape[-1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
+    if bias is not None and bias.shape != b.shape[1:]:
+        raise ShapeError(f"matmul bias shape {bias.shape} does not fit {a.shape} @ {b.shape}")
     out = _store(a.data.astype(np.float64, copy=False) @ b.data.astype(np.float64, copy=False), a)
+    if bias is not None:
+        out += bias.data    # native: see the precision policy above
 
     def bwd(g: np.ndarray):
         a64 = a.data.astype(np.float64, copy=False)
         b64 = b.data.astype(np.float64, copy=False)
         g64 = g.astype(np.float64, copy=False)
-        if a.data.ndim == 2:
-            return g64 @ b64.T, a64.T @ g64
-        return b64 @ g64, np.outer(a64, g64)   # (k,n)@(n,) -> (k,)
+        if a.data.ndim == 1:   # (k,n)@(n,) -> (k,), and the bias gradient is g itself
+            return (b64 @ g64, np.outer(a64, g64), g)[:len(parents)]
+        return (g64 @ b64.T, a64.T @ g64) + (() if bias is None else (g64.sum(axis=0),))
 
-    return _result(out, (a, b), bwd)
+    return _result(out, parents, bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also broadcasts a trailing-dim bias onto rows."""
+    """Elementwise sum, same shapes."""
     _check_same_dtype(a, b)
-    if a.shape == b.shape:
-        mode = "same"
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        mode = "bias"
-    else:
-        raise ShapeError(f"add shapes incompatible: {a.shape} + {b.shape}")
+    if a.shape != b.shape:
+        raise ShapeError(f"add shapes differ: {a.shape} + {b.shape}")
     out = np.asarray(a.data + b.data)    # native: see the precision policy above
 
     def bwd(g: np.ndarray):
-        if mode == "same":
-            return g, g
-        # bias grad sums the broadcast axis
-        return g, g.astype(np.float64).sum(axis=0)
+        return g, g
 
     return _result(out, (a, b), bwd)
 

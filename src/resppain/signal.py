@@ -298,7 +298,9 @@ def load_record(path: str | Path) -> RespirationRecord:
         raise DataError(f"{path}: third line must be 'sample_rate_hz=<Hz>', got {lines[2]!r}")
     subject_id = lines[0][len("subject_id="):]
     label = PainLabel.from_string(lines[1][len("label="):])
-    numbers = [lines[2][len("sample_rate_hz="):], *(s for s in lines[3:] if s)]
+    if "" in lines[3:]:   # save_record writes none: a blank line means a damaged file
+        raise DataError(f"{path}:{lines.index('', 3) + 1}: blank line among the samples")
+    numbers = [lines[2][len("sample_rate_hz="):], *lines[3:]]
     for s in numbers:   # float() also takes '1_0', ' 1.0' and non-ASCII digits; repr writes none of them
         if not s.isascii() or "_" in s or s != s.strip():
             raise DataError(f"{path}: number line {s!r} must be plain ASCII, with no '_' or padding")
@@ -323,6 +325,8 @@ def write_manifest(path: str | Path, entries: list[tuple[str, str]]) -> None:
     """entries: (relative_path, split) rows."""
     path = Path(path)
     for rel, split in entries:
+        if "\t" in rel or "".join(rel.splitlines()) != rel:
+            raise DataError(f"manifest path {rel!r} holds a tab or a line break, which a manifest cannot store")
         if split not in SPLITS:
             raise DataError(f"manifest split {split!r} not in {SPLITS}")
     path.write_text("".join(f"{rel}\t{split}\n" for rel, split in entries), encoding="utf-8")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 import oracles
@@ -29,6 +31,14 @@ def gradcheck(build, shapes: list[tuple[int, ...]], seed: int,
 
     fd = oracles.fd_gradient(scalar_fn, arrays, h=h)
     return max(oracles.rel_err(e, f) for e, f in zip(engine, fd))
+
+
+def fresh(path: Path) -> Path:
+    """path, with any file there removed: on some disks rewriting an
+    existing file costs a thousand times as much as writing a new one, so
+    a property that writes to one path in every example writes it anew."""
+    path.unlink(missing_ok=True)
+    return path
 
 
 def sub(a: nm.Tensor, b: nm.Tensor) -> nm.Tensor:

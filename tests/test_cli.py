@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import fresh
 from resppain import augment as aug
 from resppain import cli
 from resppain import encoder as enc
@@ -291,7 +292,7 @@ _CONFIG_TEXT = st.lists(_mostly(list(cli._SCHEMA), ["DEFAULT", "bogus"]), unique
 def test_random_config_text_raises_only_config_error(tmp_path_factory, text):
     # read_config + build_settings fail only with ConfigError; the window
     # count of settings they accept fails only with DataError
-    path = tmp_path_factory.getbasetemp() / "fuzz.ini"
+    path = fresh(tmp_path_factory.getbasetemp() / "fuzz.ini")
     path.write_text(text, encoding="utf-8")
     try:
         built = cli.build_settings(str(path), argparse.Namespace())
@@ -355,7 +356,7 @@ def test_serialized_settings_read_back_exactly(tmp_path_factory, s):
     # serialize -> read_config -> build_settings -> serialize is the same text,
     # and every value reads back exactly
     text = cli.serialize_settings(s)
-    path = tmp_path_factory.getbasetemp() / "roundtrip.ini"
+    path = fresh(tmp_path_factory.getbasetemp() / "roundtrip.ini")
     path.write_text(text)
     again = cli.build_settings(str(path), argparse.Namespace())
     assert cli.serialize_settings(again) == text

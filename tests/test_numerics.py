@@ -2,6 +2,7 @@
 against central differences, and the bookkeeping contracts (dtype rules,
 stale-tape detection, RNG discipline)."""
 
+import re
 import threading
 import weakref
 
@@ -128,14 +129,21 @@ def test_sigmoid_stable_and_correct():
     np.testing.assert_allclose(s, 1.0 / (1.0 + np.exp(np.clip(-x, -700, 700))), atol=1e-12)
 
 
-def test_add_bias_broadcast_and_shape_rules():
+def test_matmul_bias_and_add_shape_rules():
     rng = np.random.default_rng(5)
-    m = rng.normal(size=(3, 4)).astype(np.float32)
+    x = rng.normal(size=(3, 2)).astype(np.float32)
+    w = rng.normal(size=(2, 4)).astype(np.float32)
     b = rng.normal(size=4).astype(np.float32)
-    got = nm.add(nm.constant(m), nm.constant(b)).data
-    np.testing.assert_allclose(got, m + b, atol=1e-7)
-    with pytest.raises(nm.ShapeError):
-        nm.add(nm.constant(m), nm.constant(np.zeros(3, dtype=np.float32)))
+    got = nm.matmul(nm.constant(x), nm.constant(w), nm.constant(b)).data
+    np.testing.assert_array_equal(got, oracles.matmul_triple_loop(x, w) + b)
+    for bad in (np.zeros(3, dtype=np.float32), np.zeros((1, 4), dtype=np.float32)):
+        # the message names the bias shape and the matrix it must fit
+        with pytest.raises(nm.ShapeError, match=re.escape(f"{bad.shape}") + ".*" + re.escape("(2, 4)")):
+            nm.matmul(nm.constant(x), nm.constant(w), nm.constant(bad))
+    with pytest.raises(nm.ShapeError, match="mixed tensor dtypes"):
+        nm.matmul(nm.constant(x), nm.constant(w), nm.constant(b, dtype=np.float64))
+    with pytest.raises(nm.ShapeError, match="add shapes differ"):   # add takes equal shapes only
+        nm.add(nm.constant(x @ w), nm.constant(b))
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +163,8 @@ def _f32(shape):
 
 
 @st.composite
-def _operands(draw, form):
+def _operands(draw):
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=8))
-    if form == "bias":
-        shape = (shape[0], shape[-1])
-        return draw(_f32(shape)), draw(_f32(shape[1:]))
     return draw(_f32(shape)), draw(_f32(shape))
 
 
@@ -172,13 +177,35 @@ def _assert_same_bits(got: np.ndarray, want: np.ndarray):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["add", "bias", "mul"]).flatmap(lambda f: st.tuples(st.just(f), _operands(f))))
-def test_native_add_mul_equal_float64_round_trip(case):
-    form, (a, b) = case
+@given(st.sampled_from(["add", "mul"]), _operands())
+def test_native_add_mul_equal_float64_round_trip(form, operands):
+    a, b = operands
     op, np_op = (nm.mul, np.multiply) if form == "mul" else (nm.add, np.add)
     with np.errstate(all="ignore"):
         got = op(nm.constant(a), nm.constant(b)).data
     _assert_same_bits(got, oracles.elementwise_f64(np_op, a, b))
+
+
+def _finite_f32(shape):
+    return hnp.arrays(np.float32, shape, elements=st.floats(width=32, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _affine_operands(draw):
+    m, k, n = (draw(st.integers(1, 8)) for _ in range(3))
+    x_shape = draw(st.sampled_from([(m, k), (k,)]))
+    return draw(_finite_f32(x_shape)), draw(_finite_f32((k, n))), draw(_finite_f32((n,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_affine_operands())
+def test_matmul_bias_add_is_native_and_equals_float64_round_trip(operands):
+    x, w, b = (nm.constant(o) for o in operands)
+    with np.errstate(all="ignore"):
+        got = nm.matmul(x, w, b).data
+        product = nm.matmul(x, w).data
+        _assert_same_bits(got, product + b.data)
+    _assert_same_bits(got, oracles.elementwise_f64(np.add, product, b.data))
 
 
 def test_scale_keeps_float64_path_where_native_differs():
@@ -229,8 +256,10 @@ def test_grad_matmul_vector_forms():
     assert err < TOL
 
 
-def test_grad_add_bias_and_elementwise():
-    err = gradcheck(lambda p: weighted_sum(nm.add(p[0], p[1])), [(4, 3), (3,)], seed=13)
+def test_grad_matmul_bias_and_elementwise():
+    err = gradcheck(lambda p: weighted_sum(nm.matmul(p[0], p[1], p[2])), [(4, 5), (5, 3), (3,)], seed=13)
+    assert err < TOL
+    err = gradcheck(lambda p: weighted_sum(nm.matmul(p[0], p[1], p[2])), [(5,), (5, 3), (3,)], seed=12)
     assert err < TOL
     err = gradcheck(lambda p: weighted_sum(nm.mul(p[0], p[1])), [(4, 3), (4, 3)], seed=14)
     assert err < TOL
@@ -342,13 +371,11 @@ def _operand_choices(op: str, shapes: list[tuple[int, ...]]) -> list[tuple[int, 
     """Every operand index tuple of the pool that op accepts."""
     idx = range(len(shapes))
     pairs = [(i, j) for i in idx for j in idx]
-    if op == "matmul":
-        return [(i, j) for i, j in pairs if len(shapes[i]) in (1, 2) and len(shapes[j]) == 2
-                and shapes[i][-1] == shapes[j][0]]
-    if op == "add":   # same shapes, or a bias onto the rows of a matrix
-        return [(i, j) for i, j in pairs if shapes[i] == shapes[j]
-                or (len(shapes[i]) == 2 and shapes[j] == shapes[i][1:])]
-    if op == "mul":
+    if op == "matmul":   # with or without a bias
+        products = [(i, j) for i, j in pairs if len(shapes[i]) in (1, 2) and len(shapes[j]) == 2
+                    and shapes[i][-1] == shapes[j][0]]
+        return products + [(i, j, k) for i, j in products for k in idx if shapes[k] == shapes[j][1:]]
+    if op in ("add", "mul"):
         return [(i, j) for i, j in pairs if shapes[i] == shapes[j]]
     if op == "stack_rows":
         return [(i, j) for i, j in pairs if len(shapes[i]) == 1 and shapes[i] == shapes[j]]
@@ -572,9 +599,10 @@ def _every_op_output():
     m = nm.parameter(rng.normal(size=(3, 4)))
     row = nm.parameter(rng.normal(size=(1, 4)))
     v = nm.parameter(rng.normal(size=4))
+    w = nm.parameter(rng.normal(size=(4, 4)))
     g, b = nm.parameter(np.ones(4)), nm.parameter(np.zeros(4))
     return {
-        "matmul": nm.matmul(m, nm.transpose(m)), "add": nm.add(m, m), "bias": nm.add(m, v),
+        "matmul": nm.matmul(m, nm.transpose(m)), "add": nm.add(m, m), "bias": nm.matmul(m, w, b),
         "add_n": nm.add_n([v, v, v]), "sub": sub(v, v), "mul": nm.mul(m, m),
         "scale": nm.scale(m, 0.3), "add_const": nm.add_const(m, 1.5),
         "transpose": nm.transpose(m), "transpose_row": nm.transpose(row),

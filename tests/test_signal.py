@@ -6,10 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, sosfiltfilt
 
+from helpers import fresh
 from resppain import signal as sig
 from resppain import training as trn
 
@@ -317,7 +318,7 @@ def test_record_round_trip_bit_exact(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
 def test_record_rate_round_trips_bit_for_bit(tmp_path_factory, rate):
-    p = tmp_path_factory.getbasetemp() / "rate.txt"
+    p = fresh(tmp_path_factory.getbasetemp() / "rate.txt")
     rec = sig.RespirationRecord(samples=np.array([0.5, -1.0]), sample_rate_hz=rate,
                                 subject_id="s", label=sig.PainLabel.LOW_PAIN)
     sig.save_record(p, rec)
@@ -358,6 +359,33 @@ def test_load_record_errors(tmp_path):
         sig.load_record(p)
     with pytest.raises(sig.DataError):
         sig.load_record(tmp_path / "missing.txt")
+
+
+@pytest.mark.parametrize("samples, line", [("1.0\n\n\n2.0\n", 5), ("1.0\n2.0\n\n", 6), ("\n1.0\n", 4)])
+def test_blank_sample_line_is_named(tmp_path, samples, line):
+    p = tmp_path / "rec.txt"
+    p.write_text("subject_id=s\nlabel=NoPain\nsample_rate_hz=100.0\n" + samples, encoding="utf-8")
+    with pytest.raises(sig.DataError, match=re.escape(f"{p}:{line}: blank line")):
+        sig.load_record(p)
+
+
+# every boundary str.splitlines splits on, and the manifest's column separator
+_UNSTORABLE = "\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.text(), st.sampled_from(sig.SPLITS)), min_size=1, max_size=3))
+@example([("a\x85b.txt", "train")])
+@example([("a\tb.txt", "val")])
+def test_manifest_round_trips_or_the_path_is_refused(tmp_path_factory, entries):
+    path = fresh(tmp_path_factory.getbasetemp() / "paths.tsv")
+    try:
+        sig.write_manifest(path, entries)
+    except sig.DataError as e:   # only a path holding a tab or a line break is refused, by name
+        refused = [rel for rel, _ in entries if repr(rel) in str(e)]
+        assert refused and any(c in refused[0] for c in _UNSTORABLE), str(e)
+        return
+    assert sig.read_manifest(path) == entries
 
 
 def test_manifest_round_trip_and_errors(tmp_path):
@@ -452,8 +480,8 @@ def test_record_file_round_trips_or_the_record_is_refused(tmp_path_factory, fiel
         return
     root = tmp_path_factory.getbasetemp() / "round_trip"
     root.mkdir(exist_ok=True)
-    sig.save_record(root / "r.txt", rec)
-    sig.write_manifest(root / "m.tsv", entries)
+    sig.save_record(fresh(root / "r.txt"), rec)
+    sig.write_manifest(fresh(root / "m.tsv"), entries)
     loaded = sig.load_dataset(root / "m.tsv")
     assert sum(len(v) for v in loaded.values()) == len(entries)
     for back in (r for split in loaded.values() for r in split):
@@ -515,13 +543,13 @@ def test_random_record_and_manifest_bytes_raise_only_data_error(tmp_path_factory
     root = tmp_path_factory.getbasetemp() / "fuzz_dataset"
     root.mkdir(exist_ok=True)
     if isinstance(record, bytes):
-        (root / "r.txt").write_bytes(record)
+        fresh(root / "r.txt").write_bytes(record)
     else:
-        sig.save_record(root / "r.txt", record)
+        sig.save_record(fresh(root / "r.txt"), record)
     if isinstance(manifest, bytes):
-        (root / "m.tsv").write_bytes(manifest)
+        fresh(root / "m.tsv").write_bytes(manifest)
     else:
-        sig.write_manifest(root / "m.tsv", manifest)
+        sig.write_manifest(fresh(root / "m.tsv"), manifest)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:

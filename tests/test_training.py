@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from helpers import fresh
 from resppain import numerics as nm
 from resppain import encoder as enc
 from resppain import fusion as fus
@@ -591,7 +592,7 @@ def test_pipeline_header_round_trip(tmp_path_factory, settings_, seed):
     cfg, prep, variant = settings_
     assume(abs(prep.window_seconds * prep.sample_rate_hz - round(prep.window_seconds * prep.sample_rate_hz)) <= 1e-9)
     params = trn.init_pipeline_params(cfg, variant, prep.n_windows, sig.N_CLASSES, np.random.default_rng(seed))
-    path = tmp_path_factory.getbasetemp() / "round_trip.bin"
+    path = fresh(tmp_path_factory.getbasetemp() / "round_trip.bin")
     trn.save_pipeline(path, cfg, params, prep, variant, sig.N_CLASSES)
     cfg2, params2, prep2, variant2 = trn.load_pipeline(path)
     assert (cfg2, prep2, variant2) == (cfg, prep, variant)
@@ -621,7 +622,7 @@ def test_corrupt_checkpoint_raises_only_checkpoint_error(micro_checkpoint, tmp_p
                                        max_size=3), label="flips"):
         raw[at] ^= mask
     raw = raw[:data.draw(st.integers(0, len(raw)), label="cut")]
-    path = tmp_path_factory.getbasetemp() / "corrupt.bin"
+    path = fresh(tmp_path_factory.getbasetemp() / "corrupt.bin")
     path.write_bytes(bytes(raw))
     try:
         trn.load_pipeline(path)
