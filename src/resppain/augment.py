@@ -35,27 +35,27 @@ def _check_range(name: str, r: tuple[float, float], lo: float, hi: float) -> Non
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """Activation-probability ranges plus the transforms' own ranges."""
+    """Activation-probability ranges plus the transforms' own ranges, each a (low, high) pair."""
 
-    polarity_prob_range: tuple[float, float] = (0.2, 0.2)
-    noise_prob_range: tuple[float, float] = (0.2, 0.2)
-    mask_prob_range: tuple[float, float] = (0.2, 0.2)
-    mask_fraction_range: tuple[float, float] = (0.10, 0.30)
-    noise_k_range: tuple[float, float] = (1.0, 1000.0)
+    polarity_prob: tuple[float, float] = (0.2, 0.2)
+    noise_prob: tuple[float, float] = (0.2, 0.2)
+    mask_prob: tuple[float, float] = (0.2, 0.2)
+    mask_fraction: tuple[float, float] = (0.10, 0.30)
+    noise_k: tuple[float, float] = (1.0, 1000.0)
 
     def __post_init__(self):
-        _check_range("polarity_prob_range", self.polarity_prob_range, 0.0, 1.0)
-        _check_range("noise_prob_range", self.noise_prob_range, 0.0, 1.0)
-        _check_range("mask_prob_range", self.mask_prob_range, 0.0, 1.0)
-        _check_range("mask_fraction_range", self.mask_fraction_range, 0.0, 1.0)
-        if not (1.0 <= self.noise_k_range[0] <= self.noise_k_range[1]):
-            raise ValueError(f"noise_k_range must satisfy 1 <= low <= high, got {self.noise_k_range}")
+        _check_range("polarity_prob", self.polarity_prob, 0.0, 1.0)
+        _check_range("noise_prob", self.noise_prob, 0.0, 1.0)
+        _check_range("mask_prob", self.mask_prob, 0.0, 1.0)
+        _check_range("mask_fraction", self.mask_fraction, 0.0, 1.0)
+        if not (1.0 <= self.noise_k[0] <= self.noise_k[1]):
+            raise ValueError(f"noise_k must satisfy 1 <= low <= high, got {self.noise_k}")
 
 
 def min_length(cfg: AugmentConfig) -> int:
     """The fewest samples a signal needs for every plan `cfg` can draw:
     the mask's minimum when it can fire, else 1."""
-    return MIN_MASK_LEN if cfg.mask_prob_range[1] > 0 else 1
+    return MIN_MASK_LEN if cfg.mask_prob[1] > 0 else 1
 
 
 def polarity_invert(x: np.ndarray) -> np.ndarray:
@@ -112,17 +112,17 @@ def sample_plan(cfg: AugmentConfig, rng: np.random.Generator) -> AugmentPlan:
     """Draw activations and transform parameters in the documented order:
     polarity (prob, trial), noise (prob, trial, k, snr), mask (prob,
     trial, fraction, anchor)."""
-    p_pol = rng.uniform(*cfg.polarity_prob_range)
+    p_pol = rng.uniform(*cfg.polarity_prob)
     polarity_on = bool(rng.random() < p_pol)
 
-    p_noise = rng.uniform(*cfg.noise_prob_range)
+    p_noise = rng.uniform(*cfg.noise_prob)
     noise_on = bool(rng.random() < p_noise)
-    noise_snr = draw_snr(rng, cfg.noise_k_range) if noise_on else 0.0
+    noise_snr = draw_snr(rng, cfg.noise_k) if noise_on else 0.0
 
-    p_mask = rng.uniform(*cfg.mask_prob_range)
+    p_mask = rng.uniform(*cfg.mask_prob)
     mask_on = bool(rng.random() < p_mask)
     if mask_on:
-        mask_fraction = float(rng.uniform(*cfg.mask_fraction_range))
+        mask_fraction = float(rng.uniform(*cfg.mask_fraction))
         mask_anchor = MASK_ANCHORS[rng.integers(len(MASK_ANCHORS))]
     else:
         mask_fraction, mask_anchor = 0.0, "begin"

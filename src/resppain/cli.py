@@ -2,10 +2,10 @@
 
 Configuration is flat ``key = value`` text under ``[section]`` headers
 (INI syntax).  Every key is validated against the schema below, which
-is derived from the config dataclasses; an unknown section or key is a
-hard error naming it, and float values must be finite.  Exit codes: 0 ok,
-2 usage or config error, 3 data error, 4 numerical error (including a
-corrupt checkpoint).
+is derived from the config dataclasses; an unknown section ([DEFAULT]
+included) or key is a hard error naming it, and float values must be
+finite.  Exit codes: 0 ok, 2 usage or config error, 3 data error,
+4 numerical error (including a corrupt checkpoint).
 
 Example config::
 
@@ -119,12 +119,11 @@ class RunSettings:
 
 
 # Each [section] lists the fields of one RunSettings dataclass, in order, except:
-# RunSettings.manifest is the first [data] key, PreprocessConfig.window_seconds
-# sits in [train] after seed, and the [augment] keys drop the fields' _range suffix.
+# RunSettings.manifest is the first [data] key, and PreprocessConfig.window_seconds
+# sits in [train] after seed.
 _SECTIONS = {"data": "prep", "encoder": "enc_cfg", "train": "train_cfg", "augment": "aug_cfg"}
 _LEADING = {"data": _Key("", "manifest", str)}
 _MOVED = {"window_seconds": ("train", "seed")}
-_KEY_SUFFIX = {"augment": "_range"}
 
 # train flags that override one config value: flag -> (owner, field)
 _FLAG_OVERRIDES = {"data": ("", "manifest"), "seed": ("train_cfg", "seed"),
@@ -147,8 +146,7 @@ def _derive_schema() -> dict[str, dict[str, _Key]]:
     for name, (section, after) in _MOVED.items():
         keys = layout[section]
         keys.insert([k.field for k in keys].index(after) + 1, moved[name])
-    return {section: {k.field.removesuffix(_KEY_SUFFIX.get(section, "")): k for k in keys}
-            for section, keys in layout.items()}
+    return {section: {k.field: k for k in keys} for section, keys in layout.items()}
 
 
 _SCHEMA = _derive_schema()
@@ -156,7 +154,8 @@ _SCHEMA = _derive_schema()
 
 def read_config(path: str | Path) -> dict[str, dict[str, object]]:
     """Parse and validate a config file against the schema."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names "", so [DEFAULT] is an ordinary section and no key reaches another
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:

@@ -322,8 +322,10 @@ def load_record(path: str | Path) -> RespirationRecord:
 
 
 def write_manifest(path: str | Path, entries: list[tuple[str, str]]) -> None:
-    """entries: (relative_path, split) rows."""
+    """entries: (relative_path, split) rows, at least one."""
     path = Path(path)
+    if not entries:   # read_manifest refuses an empty file
+        raise DataError(f"{path}: manifest is empty")
     for rel, split in entries:
         if "\t" in rel or "".join(rel.splitlines()) != rel:
             raise DataError(f"manifest path {rel!r} holds a tab or a line break, which a manifest cannot store")

@@ -103,7 +103,8 @@ def smoothed_ce_loss(logits: Tensor, target_index: int, smoothing: float, n_clas
     """Cross-entropy against (1-s) * one-hot + s / C uniform mass.
 
     s = 0 is exactly standard cross-entropy; uniform logits give ln C for
-    every s because the target distribution always sums to one.
+    every s because the target distribution always sums to one.  The
+    target carries the sign: the loss is sum(log_softmax(logits) * -q).
     """
     if not 0.0 <= smoothing < 1.0:
         raise ValueError(f"smoothing must satisfy 0 <= s < 1, got {smoothing}")
@@ -113,8 +114,7 @@ def smoothed_ce_loss(logits: Tensor, target_index: int, smoothing: float, n_clas
         raise ValueError(f"target index {target_index} outside [0, {n_classes})")
     q = np.full(n_classes, smoothing / n_classes)
     q[target_index] += 1.0 - smoothing
-    logp = nm.log_softmax(logits)
-    return nm.scale(nm.sum_all(nm.mul(logp, nm.constant(q, dtype=logits.dtype))), -1.0)
+    return nm.sum_all(nm.mul(nm.log_softmax(logits), nm.constant(-q, dtype=logits.dtype)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,6 @@ def evaluate(records: list[sig.RespirationRecord], enc_cfg: enc.EncoderConfig,
 @dataclass
 class TrainResult:
     params: dict[str, Tensor]
-    variant: str
     metrics_lines: list[str]
     val_reports: list[MetricsReport]
     train_loss_curve: list[float]
@@ -453,7 +452,7 @@ def train(train_records: list[sig.RespirationRecord],
                 save_pipeline(out_path / f"checkpoint_epoch{epoch + 1:03d}.bin",
                               enc_cfg, load(x), prep, variant, n_classes)
 
-    result = TrainResult(params=load(x), variant=variant, metrics_lines=metrics_lines,
+    result = TrainResult(params=load(x), metrics_lines=metrics_lines,
                          val_reports=val_reports, train_loss_curve=loss_curve, best_epoch=best_epoch)
     logger.info("training done: best val macro acc %.4f at epoch %d; final %.4f",
                 best_acc, best_epoch, result.final_report.macro_accuracy)

@@ -70,14 +70,14 @@ def test_mask_params_exact_geometry():
 
 def _only(transform: str, **ranges) -> aug.AugmentConfig:
     """Config that runs exactly one transform, always."""
-    probs = {f"{t}_prob_range": (1.0, 1.0) if t == transform else (0.0, 0.0)
+    probs = {f"{t}_prob": (1.0, 1.0) if t == transform else (0.0, 0.0)
              for t in ("polarity", "noise", "mask")}
     return aug.AugmentConfig(**probs, **ranges)
 
 
 def test_mask_block_zeroes_one_block_and_preserves_rest():
     rng = np.random.default_rng(4)
-    cfg = _only("mask", mask_fraction_range=(0.2, 0.2))
+    cfg = _only("mask", mask_fraction=(0.2, 0.2))
     x = np.arange(1, 1001, dtype=np.float32)   # strictly nonzero
     y = aug.apply_augmentations(x, cfg, rng)
     zeros = np.flatnonzero(y == 0.0)
@@ -91,7 +91,7 @@ def test_mask_block_zeroes_one_block_and_preserves_rest():
 
 def test_mask_block_fraction_and_anchor_distribution():
     rng = np.random.default_rng(5)
-    cfg = _only("mask", mask_fraction_range=(0.10, 0.30))
+    cfg = _only("mask", mask_fraction=(0.10, 0.30))
     x = np.ones(1000, dtype=np.float32)
     fracs = []
     starts = {0: 0, 1: 0, 2: 0}   # begin, center, end buckets
@@ -120,7 +120,7 @@ def test_noise_alone_lands_in_the_drawn_snr_band():
     # realized noise power sits inside [1, 5] times the signal power and
     # differs between draws; no sample is inverted or masked
     rng = np.random.default_rng(10)
-    cfg = _only("noise", noise_k_range=(200.0, 200.0))
+    cfg = _only("noise", noise_k=(200.0, 200.0))
     x = np.sin(2 * np.pi * 0.25 * np.arange(100_000) / 100.0).astype(np.float32)
     signal_power = float(np.mean(x.astype(np.float64) ** 2))
     ratios = []
@@ -134,9 +134,9 @@ def test_noise_alone_lands_in_the_drawn_snr_band():
 
 def test_sample_plan_activation_rates():
     # each transform fires at the mean of its probability range
-    cfg = aug.AugmentConfig(polarity_prob_range=(0.1, 0.3),
-                            noise_prob_range=(0.2, 0.2),
-                            mask_prob_range=(0.5, 0.7))
+    cfg = aug.AugmentConfig(polarity_prob=(0.1, 0.3),
+                            noise_prob=(0.2, 0.2),
+                            mask_prob=(0.5, 0.7))
     rng = np.random.default_rng(6)
     n = 100_000
     plans = [aug.sample_plan(cfg, rng) for _ in range(n)]
@@ -162,11 +162,11 @@ def test_apply_augmentations_deterministic_given_rng_state():
 
 def test_apply_augmentations_can_stack_all_three():
     # force every transform on; polarity then noise then mask
-    cfg = aug.AugmentConfig(polarity_prob_range=(1.0, 1.0),
-                            noise_prob_range=(1.0, 1.0),
-                            mask_prob_range=(1.0, 1.0),
-                            mask_fraction_range=(0.2, 0.2),
-                            noise_k_range=(1000.0, 1000.0))
+    cfg = aug.AugmentConfig(polarity_prob=(1.0, 1.0),
+                            noise_prob=(1.0, 1.0),
+                            mask_prob=(1.0, 1.0),
+                            mask_fraction=(0.2, 0.2),
+                            noise_k=(1000.0, 1000.0))
     x = np.ones(1000, dtype=np.float32)
     y = aug.apply_augmentations(x, cfg, np.random.default_rng(8))
     zeros = np.flatnonzero(y == 0.0)
@@ -179,9 +179,9 @@ def test_apply_augmentations_can_stack_all_three():
 
 
 def test_apply_augmentations_noop_when_probs_zero():
-    cfg = aug.AugmentConfig(polarity_prob_range=(0.0, 0.0),
-                            noise_prob_range=(0.0, 0.0),
-                            mask_prob_range=(0.0, 0.0))
+    cfg = aug.AugmentConfig(polarity_prob=(0.0, 0.0),
+                            noise_prob=(0.0, 0.0),
+                            mask_prob=(0.0, 0.0))
     x = np.arange(100, dtype=np.float32)
     y = aug.apply_augmentations(x, cfg, np.random.default_rng(9))
     np.testing.assert_array_equal(y, x)
@@ -189,8 +189,8 @@ def test_apply_augmentations_noop_when_probs_zero():
 
 def test_augment_config_validation():
     with pytest.raises(ValueError):
-        aug.AugmentConfig(polarity_prob_range=(0.5, 0.2))
+        aug.AugmentConfig(polarity_prob=(0.5, 0.2))
     with pytest.raises(ValueError):
-        aug.AugmentConfig(mask_fraction_range=(-0.1, 0.2))
+        aug.AugmentConfig(mask_fraction=(-0.1, 0.2))
     with pytest.raises(ValueError):
-        aug.AugmentConfig(noise_k_range=(0.5, 10.0))
+        aug.AugmentConfig(noise_k=(0.5, 10.0))

@@ -158,6 +158,38 @@ def test_unknown_config_section_rejected(tmp_path, capsys):
     assert "trainer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\nepochs = 1\n",
+    "[DEFAULT]\nseed = 5\n[train]\nepochs = 1\n",
+    "[data]\npad_len = 400\n[DEFAULT]\nseed = 5\n",
+])
+def test_default_section_is_an_unknown_section(tmp_path, capsys, text):
+    # configparser treats [DEFAULT] as special; here it is an unknown section
+    # like any other, and none of its keys reaches another section
+    cfg = tmp_path / "default.ini"
+    cfg.write_text(text)
+    rc = cli.main(["train", "--config", str(cfg), "--data", "whatever.tsv",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "unknown section [DEFAULT]" in capsys.readouterr().err
+
+
+def test_readme_config_example_is_read_by_the_schema(tmp_path):
+    # the ```ini block under README's "Config file" heading names every section,
+    # and config_used.ini writes each of its keys with the value it reads as
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Config file\n", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.ini"
+    path.write_text(example, encoding="utf-8")
+    shown = cli.read_config(path)
+    assert list(shown) == list(cli._SCHEMA)
+    written = tmp_path / "config_used.ini"
+    written.write_text(cli.serialize_settings(cli.build_settings(str(path), argparse.Namespace())),
+                       encoding="utf-8")
+    again = cli.read_config(written)
+    assert {section: {key: again[section][key] for key in keys} for section, keys in shown.items()} == shown
+
+
 def test_invalid_config_value_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[encoder]\ndepth = two\n")
@@ -169,7 +201,7 @@ def test_invalid_config_value_rejected(tmp_path, capsys):
 
 def test_config_keys_follow_the_dataclasses():
     # the INI layout: dataclass fields in order, manifest first in [data],
-    # window_seconds in [train] after seed, no _range suffix in [augment]
+    # and window_seconds in [train] after seed
     want = {
         "data": "manifest sample_rate_hz filter_enabled filter_low_hz filter_high_hz pad_len",
         "encoder": "depth cross_per_block self_per_block n_latents model_dim fourier_bands "
@@ -343,9 +375,9 @@ def _valid_settings(draw):
             checkpoint_interval=draw(st.integers(0, 100)), augment_enabled=draw(st.booleans())),
         prep=prep,
         aug_cfg=aug.AugmentConfig(
-            polarity_prob_range=draw(_sorted_pair(0.0, 1.0)), noise_prob_range=draw(_sorted_pair(0.0, 1.0)),
-            mask_prob_range=draw(_sorted_pair(0.0, 1.0)), mask_fraction_range=draw(_sorted_pair(0.0, 1.0)),
-            noise_k_range=draw(_sorted_pair(1.0, 1e6))),
+            polarity_prob=draw(_sorted_pair(0.0, 1.0)), noise_prob=draw(_sorted_pair(0.0, 1.0)),
+            mask_prob=draw(_sorted_pair(0.0, 1.0)), mask_fraction=draw(_sorted_pair(0.0, 1.0)),
+            noise_k=draw(_sorted_pair(1.0, 1e6))),
         manifest=draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]{1,20}", fullmatch=True)),
     )
 

@@ -125,6 +125,16 @@ def test_smoothing_pulls_loss_toward_uniform():
     assert plain < smoothed   # smoothing punishes overconfidence
 
 
+def test_exactly_zero_loss_is_positive_zero():
+    # log_softmax rounds a target far ahead of the rest to 0; the loss
+    # carries the sign in the target, so it reads +0.0, not -0.0
+    logits = nm.Tensor(np.array([50.0, 0.0, -3.0], dtype=np.float32), requires_grad=True)
+    loss = trn.smoothed_ce_loss(logits, 0, 0.0, 3)
+    assert math.copysign(1.0, loss.item()) == 1.0, loss.item()
+    nm.backward(loss)
+    assert logits.grad[0] == 0.0 and np.all(logits.grad[1:] > 0.0), logits.grad
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -509,27 +519,29 @@ def test_train_periodic_checkpoints(tmp_path):
 
 def test_evaluate_deterministic_and_rng_free():
     records = _dataset()
-    result = trn.train(records, records, ENC, _quick_cfg(epochs=1), PREP)
-    a = trn.evaluate(records, ENC, result.params, PREP, result.variant)
-    b = trn.evaluate(records, ENC, result.params, PREP, result.variant)
+    cfg = _quick_cfg(epochs=1)
+    result = trn.train(records, records, ENC, cfg, PREP)
+    a = trn.evaluate(records, ENC, result.params, PREP, cfg.fusion_variant)
+    b = trn.evaluate(records, ENC, result.params, PREP, cfg.fusion_variant)
     np.testing.assert_array_equal(a.confusion, b.confusion)
     assert a.mean_loss == b.mean_loss
     assert a.macro_accuracy == b.macro_accuracy
     with pytest.raises(sig.DataError):
-        trn.evaluate([], ENC, result.params, PREP, result.variant)
+        trn.evaluate([], ENC, result.params, PREP, cfg.fusion_variant)
 
 
 def test_pipeline_checkpoint_round_trip(tmp_path):
     records = _dataset()
-    result = trn.train(records, records, ENC, _quick_cfg(epochs=1), PREP, out_dir=tmp_path)
+    cfg = _quick_cfg(epochs=1)
+    result = trn.train(records, records, ENC, cfg, PREP, out_dir=tmp_path)
     cfg2, params2, prep2, variant2 = trn.load_pipeline(tmp_path / "checkpoint_final.bin")
     assert cfg2 == ENC
     assert prep2 == PREP
-    assert variant2 == result.variant
+    assert variant2 == cfg.fusion_variant
     assert set(params2) == set(result.params)
     for k in params2:
         np.testing.assert_array_equal(params2[k].data, result.params[k].data, err_msg=k)
-    before = trn.evaluate(records, ENC, result.params, PREP, result.variant)
+    before = trn.evaluate(records, ENC, result.params, PREP, cfg.fusion_variant)
     after = trn.evaluate(records, cfg2, params2, prep2, variant2)
     np.testing.assert_array_equal(before.confusion, after.confusion)
     assert before.mean_loss == after.mean_loss
