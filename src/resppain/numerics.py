@@ -342,7 +342,8 @@ def gelu(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     """Logistic function, stable for large |x|."""
     x = a.data.astype(np.float64)
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = _store(s, a)
 
     def bwd(g: np.ndarray):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, sosfilt_zi, sosfiltfilt
+from scipy.signal import butter, sosfilt, sosfilt_zi
 
 
 class DataError(ValueError):
@@ -112,19 +112,24 @@ def _check_band(low_hz: float, high_hz: float, sample_rate_hz: float) -> None:
 
 
 @functools.lru_cache(maxsize=8)
-def _bandpass_sos(low_hz: float, high_hz: float, sample_rate_hz: float) -> np.ndarray:
-    """The Butterworth sections for one band and rate, designed once and frozen.
-    A band whose sections or initial conditions (`sosfilt_zi`, solved by every
-    `sosfiltfilt` call) fail or are not finite, such as 3e-8 to 0.5 Hz, is a DataError."""
+def _bandpass_sos(low_hz: float, high_hz: float, sample_rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Butterworth sections for one band and rate and their step-response
+    initial conditions (`sosfilt_zi`), solved once and frozen.  A band whose
+    sections or initial conditions fail or are not finite, such as 3e-8 to
+    0.5 Hz, is a DataError."""
     try:
+        # sosfilt_zi's last DC gain, which it never uses, is 0/0 for some
+        # accepted bands with a tiny low edge (1e-7 Hz at 100 Hz)
         with np.errstate(divide="ignore", invalid="ignore"):
             sos = butter(2, [low_hz, high_hz], btype="bandpass", fs=sample_rate_hz, output="sos")
-            if not (np.isfinite(sos).all() and np.isfinite(sosfilt_zi(sos)).all()):
+            zi = sosfilt_zi(sos)
+            if not (np.isfinite(sos).all() and np.isfinite(zi).all()):
                 raise ValueError("its sections or initial conditions are not finite")
     except (ValueError, np.linalg.LinAlgError) as e:
         raise DataError(f"band ({low_hz}, {high_hz}) Hz at {sample_rate_hz} Hz cannot be filtered: {e}") from e
     sos.flags.writeable = False
-    return sos
+    zi.flags.writeable = False
+    return sos, zi
 
 
 def bandpass_filter(x: np.ndarray, sample_rate_hz: float,
@@ -137,24 +142,32 @@ def bandpass_filter(x: np.ndarray, sample_rate_hz: float,
     sits at 1e-3 of Nyquist, where a transfer-function realization would
     be numerically fragile.
 
-    The sections depend only on (low_hz, high_hz, sample_rate_hz), so they
-    are designed once per such key and kept frozen in a small LRU cache:
-    a hit returns what `butter` would compute for the same key, so no
-    entry can go stale.  The filter runs on a copy (12 floats), since
-    scipy's `sosfilt` refuses a read-only array.
+    The sections and their initial conditions depend only on (low_hz,
+    high_hz, sample_rate_hz), so they are solved once per such key and
+    kept frozen in a small LRU cache: a hit returns what `butter` and
+    `sosfilt_zi` would compute for the same key, so no entry can go stale.
+    The passes are the steps of scipy's `sosfiltfilt`, written out so that
+    they take the cached initial conditions: an odd extension of `padlen`
+    samples at each end, `sosfilt` started at `zi * ext[0]`, `sosfilt` on
+    the reversed output started at `zi * y[-1]`, then reversal and trimming.
+    The output equals `sosfiltfilt`'s bit for bit, and since no call solves
+    the initial conditions again, none needs an `errstate`.  `sosfilt` runs
+    on a copy of the sections (12 floats), since it refuses a read-only array.
     """
     x = np.asarray(x)
     if x.ndim != 1:
         raise DataError(f"bandpass_filter expects a vector, got shape {x.shape}")
     _check_band(low_hz, high_hz, sample_rate_hz)
-    sos = _bandpass_sos(low_hz, high_hz, sample_rate_hz)
+    sos, zi = _bandpass_sos(low_hz, high_hz, sample_rate_hz)
     padlen = 3 * (2 * sos.shape[0] + 1)
     if x.size <= padlen:
         raise DataError(f"signal of {x.size} samples is too short to filter (needs > {padlen})")
-    # sosfiltfilt's sosfilt_zi also computes a DC gain it never uses, which
-    # is 0/0 for some accepted bands with a tiny low edge (1e-7 Hz at 100 Hz)
-    with np.errstate(invalid="ignore"):
-        y = sosfiltfilt(sos.copy(), x.astype(np.float64))
+    x = x.astype(np.float64)
+    ext = np.concatenate((2 * x[0] - x[padlen:0:-1], x, 2 * x[-1] - x[-2:-padlen - 2:-1]))
+    sos = sos.copy()
+    y, _ = sosfilt(sos, ext, zi=zi * ext[0])
+    y, _ = sosfilt(sos, y[::-1], zi=zi * y[-1])
+    y = y[::-1][padlen:-padlen]
     if not np.isfinite(y).all():
         raise DataError(f"band ({low_hz}, {high_hz}) Hz at {sample_rate_hz} Hz gave a non-finite output")
     return np.ascontiguousarray(y, dtype=np.float32)

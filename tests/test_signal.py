@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, sosfiltfilt
 
@@ -102,7 +102,7 @@ def test_filter_design_cache_matches_a_fresh_design():
                 sos = butter(2, [low, high], btype="bandpass", fs=rate, output="sos")
                 want = sosfiltfilt(sos, x.astype(np.float64)).astype(np.float32)
                 np.testing.assert_array_equal(sig.bandpass_filter(x, rate, low, high), want)
-    assert not sig._bandpass_sos(0.05, 0.5, FS).flags.writeable
+    assert not any(a.flags.writeable for a in sig._bandpass_sos(0.05, 0.5, FS))
 
 
 def test_tiny_low_edge_filters_without_a_warning():
@@ -140,6 +140,46 @@ def test_any_valid_band_filters_to_finite_output_or_raises_data_error(a, b):
     else:
         assert np.isfinite(y).all()
         sig.PreprocessConfig(filter_low_hz=low, filter_high_hz=high)
+
+
+@st.composite
+def _filter_case(draw):
+    rate = draw(st.floats(25.0, 200.0))
+    low, high = sorted(e * rate / FS for e in (draw(_EDGE), draw(_EDGE)))   # _EDGE's bands, at this rate
+    assume(0.0 < low < high < rate / 2.0)
+    n = draw(st.integers(16, 3000))   # padlen + 1 and up
+    scale = draw(st.floats(-1e6, 1e6))
+    kind = draw(st.sampled_from(["normal", "constant", "step"]))
+    if kind == "normal":
+        x = scale * np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=n)
+    elif kind == "constant":
+        x = np.full(n, scale)
+    else:
+        x = np.where(np.arange(n) < draw(st.integers(1, n - 1)), 0.0, scale)
+    return x.astype(np.float32), rate, low, high
+
+
+@settings(max_examples=300, deadline=None)
+@given(_filter_case())
+@example((_tone(0.2, 30.0), FS, 1e-7, 0.5))
+def test_filter_equals_sosfiltfilt_bit_for_bit_or_raises_data_error(case):
+    # the written-out passes on the cached initial conditions are scipy's
+    # sosfiltfilt exactly; where scipy fails or goes non-finite, a DataError
+    x, rate, low, high = case
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            sos = butter(2, [low, high], btype="bandpass", fs=rate, output="sos")
+            want = sosfiltfilt(sos, x.astype(np.float64))
+        ok = bool(np.isfinite(want).all())
+    except (ValueError, np.linalg.LinAlgError):
+        ok = False
+    if ok:
+        got = sig.bandpass_filter(x, rate, low, high)
+        np.testing.assert_array_equal(got.view(np.uint32), want.astype(np.float32).view(np.uint32))
+    else:
+        with pytest.raises(sig.DataError):
+            sig.bandpass_filter(x, rate, low, high)
 
 
 # ---------------------------------------------------------------------------
