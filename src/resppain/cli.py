@@ -68,6 +68,13 @@ def finite_float(s: str) -> float:
     return v
 
 
+def positive_float(s: str) -> float:
+    """finite_float(s), rejecting zero and negatives; parses the duration, rate and window flags."""
+    if (v := finite_float(s)) <= 0:
+        raise ValueError(f"must be positive, got {s!r}")
+    return v
+
+
 def _parse_bool(s: str) -> bool:
     v = s.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -234,9 +241,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError("--val-per-class and --test-per-class must be >= 0")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if min(args.duration_s, args.sample_rate_hz) <= 0:
-        raise ConfigError(f"--duration-s and --sample-rate-hz must be > 0, "
-                          f"got {args.duration_s} and {args.sample_rate_hz}")
     out = _make_out_dir(args.out)
     counts = {"train": args.per_class, "val": args.val_per_class, "test": args.test_per_class}
     entries = []
@@ -358,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--test-per-class", type=int, default=0)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--duration-s", type=finite_float, default=10.0, dest="duration_s")
-    p_synth.add_argument("--sample-rate-hz", type=finite_float, default=sig.SAMPLE_RATE_HZ,
+    p_synth.add_argument("--duration-s", type=positive_float, default=10.0, dest="duration_s")
+    p_synth.add_argument("--sample-rate-hz", type=positive_float, default=sig.SAMPLE_RATE_HZ,
                          dest="sample_rate_hz")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -368,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--data", help="dataset manifest (overrides config)")
     p_train.add_argument("--out", required=True, help="run directory")
     p_train.add_argument("--seed", type=int, help="override train.seed")
-    p_train.add_argument("--window-seconds", type=finite_float, dest="window_seconds")
+    p_train.add_argument("--window-seconds", type=positive_float, dest="window_seconds")
     p_train.add_argument("--fusion", choices=list(fus.VARIANTS), help="override fusion variant")
     p_train.set_defaults(func=cmd_train)
 
@@ -376,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--data", required=True, help="dataset manifest")
     p_eval.add_argument("--split", choices=list(sig.SPLITS), default="test")
-    p_eval.add_argument("--window-seconds", type=finite_float, dest="window_seconds")
+    p_eval.add_argument("--window-seconds", type=positive_float, dest="window_seconds")
     p_eval.set_defaults(func=cmd_eval)
 
     p_prof = sub.add_parser("profile", help="parameter/FLOP tables for the standard layouts")
     p_prof.add_argument("--input-len", type=int, default=sig.PAD_TARGET, dest="input_len")
-    p_prof.add_argument("--window-seconds", type=finite_float, default=5.0, dest="window_seconds")
+    p_prof.add_argument("--window-seconds", type=positive_float, default=5.0, dest="window_seconds")
     p_prof.set_defaults(func=cmd_profile)
     return parser
 

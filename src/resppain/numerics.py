@@ -5,7 +5,7 @@ here: a small define-by-run tape over numpy arrays.  Tensors store values
 in float32 by default (float64 available for numerical checks) and are
 immutable after construction; each op records a backward closure, so the
 tape is the set of result nodes in creation order.  ``backward`` visits
-only the nodes that need a gradient, releases them and fills ``.grad``.
+only the nodes that need a gradient, releases them and returns leaf gradients.
 
 Precision policy:
 
@@ -84,7 +84,7 @@ class Tensor:
     """Immutable numpy-backed value node.  Leaves with requires_grad=True
     are parameters; interior nodes carry a backward closure."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_id", "_parents", "_bwd", "_consumed")
+    __slots__ = ("data", "requires_grad", "_id", "_parents", "_bwd", "_consumed")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         # A private C-ordered copy: a caller-owned buffer is never frozen
@@ -99,7 +99,6 @@ class Tensor:
         arr.flags.writeable = False
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
         self._id = next(_node_ids)
         self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable[[np.ndarray], tuple] | None = None
@@ -458,14 +457,14 @@ def straight_through(a: Tensor, forward_value: np.ndarray) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward
 
-def backward(loss: Tensor) -> None:
-    """Accumulate a scalar loss's gradient into .grad of each parameter reached.
+def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """{parameter: read-only gradient} of a scalar loss, for each parameter it reaches.
 
-    Only nodes that need a gradient are visited, so every leaf reached is
-    a parameter.  Backward releases the tape: a node whose closure has run
-    drops the closure and its parents, so a loss the caller still holds
-    keeps no activation alive.  Such a node is consumed, and backward
-    through it again, without a fresh forward pass, raises TapeError.
+    Only nodes that need a gradient are visited, so every leaf reached is a
+    parameter; leaves fed by one node may share an array.  Backward releases
+    the tape: a node whose closure has run drops the closure and its parents,
+    so a loss the caller still holds keeps no activation alive.  Such a node
+    is consumed: backward through it again, with no fresh forward, raises TapeError.
     """
     if loss.data.shape != ():
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -484,17 +483,16 @@ def backward(loss: Tensor) -> None:
             raise TapeError("stale tape: backward was already run through this node")
         stack.extend(p for p in t._parents if p.requires_grad)
 
-    grads: dict[int, np.ndarray] = {loss._id: np.asarray(1.0, dtype=loss.data.dtype)}
+    # Seeded for the loss, sent by consumers to every other node; only the leaves' stay.
+    grads: dict[Tensor, np.ndarray] = {loss: np.asarray(1.0, dtype=loss.data.dtype)}
     for t in sorted(seen.values(), key=lambda n: n._id, reverse=True):
-        g = grads.pop(t._id)   # seeded for the loss, sent by a consumer for every other node
         if t._bwd is None:
-            t.grad = g.copy() if t.grad is None else t.grad + g
+            grads[t] = g = np.asarray(grads[t])   # a sum of 0-d arrays is a numpy scalar
+            g.flags.writeable = False
             continue
-        for p, pg in zip(t._parents, t._bwd(g)):
+        for p, pg in zip(t._parents, t._bwd(grads.pop(t))):
             if p.requires_grad:
                 pg = np.asarray(pg, dtype=p.data.dtype)
-                if p._id in grads:
-                    grads[p._id] = grads[p._id] + pg
-                else:
-                    grads[p._id] = pg
+                grads[p] = grads[p] + pg if p in grads else pg
         t._bwd, t._parents, t._consumed = None, (), True
+    return grads

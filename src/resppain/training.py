@@ -407,11 +407,8 @@ def train(train_records: list[sig.RespirationRecord],
         if not math.isfinite(value):
             raise NumericalError(f"non-finite loss {value} at epoch {epoch}, "
                                  f"record {rec.subject_id!r}; aborting")
-        nm.backward(nm.scale(loss, 1.0 / batch_len))
-        grad = np.concatenate([p.grad.ravel() for p in params.values()])
-        for p in params.values():
-            p.grad = None
-        return value, route, grad
+        grads = nm.backward(nm.scale(loss, 1.0 / batch_len))
+        return value, route, np.concatenate([grads[p].ravel() for p in params.values()])
 
     def eval_record(params: dict[str, Tensor], i: int) -> tuple[int, float]:
         return _eval_record(val_prepared[i], enc_cfg, params, variant)

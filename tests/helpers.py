@@ -21,8 +21,8 @@ def gradcheck(build, shapes: list[tuple[int, ...]], seed: int,
     arrays = [rng.normal(0.0, scale, s) for s in shapes]
 
     params = [nm.parameter(a, dtype=np.float64) for a in arrays]
-    nm.backward(build(params))
-    engine = [np.zeros(p.shape) if p.grad is None else p.grad for p in params]
+    grads = nm.backward(build(params))
+    engine = [grads.get(p, np.zeros(p.shape)) for p in params]
 
     def scalar_fn(work: list[np.ndarray]) -> float:
         with nm.no_grad():

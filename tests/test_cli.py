@@ -253,6 +253,20 @@ def test_non_finite_window_seconds_flag_rejected(tmp_path, capsys):
             assert "--window-seconds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_non_positive_window_seconds_flag_is_a_usage_error(workspace, capsys, value):
+    # rejected as the flag is parsed, as in train: a real checkpoint and
+    # manifest leave nothing else to fail on
+    for argv in (["eval", "--checkpoint", str(workspace["run"] / "checkpoint_best.bin"),
+                  "--data", str(workspace["data"] / "manifest.tsv")],
+                 ["profile"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(argv + ["--window-seconds", value])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert "--window-seconds" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
 def test_train_window_of_no_whole_sample_count_is_a_config_error(workspace, tmp_path, capsys, by_flag):
     # 0.123 s at 100 Hz is 12.3 samples: the settings fail before the run directory is made

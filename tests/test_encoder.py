@@ -352,8 +352,8 @@ def test_latent_query_with_live_tape_always_records(monkeypatch):
     queries = [enc.latent_query(params) for _ in range(2)]
     assert len(calls) == 3
     assert queries[0] is not queries[1] and all(q.requires_grad for q in queries)
-    nm.backward(weighted_sum(queries[1], seed=3))
-    assert all(t.grad is not None and np.any(t.grad != 0)
+    grads = nm.backward(weighted_sum(queries[1], seed=3))
+    assert all(t in grads and np.any(grads[t] != 0)
                for t in enc._query_tensors(params["latents"], params, "block0.cross0.attn"))
 
 
@@ -391,9 +391,8 @@ def test_latent_query_cache_pairs_each_key_with_its_own_query_across_threads():
 def test_encode_gradients_reach_every_parameter():
     params = _params(TINY, seed=17)
     x = np.random.default_rng(18).normal(size=20).astype(np.float32)
-    nm.backward(weighted_sum(enc.encode(x, TINY, params), seed=1))
-    grads = [p.grad for p in params.values()]
-    assert all(g is not None and np.any(g != 0) for g in grads)
+    grads = nm.backward(weighted_sum(enc.encode(x, TINY, params), seed=1))
+    assert all(p in grads and np.any(grads[p] != 0) for p in params.values())
 
 
 def test_encode_gradcheck_tiny():

@@ -324,16 +324,15 @@ def test_grad_straight_through_is_identity():
     out = nm.straight_through(soft, hard)
     np.testing.assert_array_equal(out.data, hard)
     c = rng.normal(size=5)
-    nm.backward(nm.sum_all(nm.mul(out, nm.constant(c, dtype=np.float64))))
-    np.testing.assert_allclose(soft.grad, c, atol=1e-12)
+    grads = nm.backward(nm.sum_all(nm.mul(out, nm.constant(c, dtype=np.float64))))
+    np.testing.assert_allclose(grads[soft], c, atol=1e-12)
 
 
 def test_grad_accumulates_over_reused_leaf():
     # One leaf feeding two branches gets the sum of both branch gradients.
     x = nm.parameter(np.array([1.0, 2.0]), dtype=np.float64)
     loss = nm.sum_all(nm.add(nm.scale(x, 2.0), nm.scale(x, 3.0)))
-    nm.backward(loss)
-    np.testing.assert_allclose(x.grad, [5.0, 5.0], atol=1e-12)
+    np.testing.assert_allclose(nm.backward(loss)[x], [5.0, 5.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +431,8 @@ def test_random_op_graphs_pass_gradcheck(graph):
         return nm.add_n(weighted_sum(t, seed=k) for k, t in enumerate(pool))
 
     assert gradcheck(build, leaves, seed=seed) < 1e-5
-    assert all(c.grad is None for c in constants)
+    grads = nm.backward(build([nm.parameter(np.ones(s), dtype=np.float64) for s in leaves]))
+    assert len(grads) == len(leaves) and not any(c in grads for c in constants)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +488,10 @@ def test_backward_releases_the_graph_behind_a_held_loss():
     ref = weakref.ref(mid.data)
     del mid
     assert ref() is not None
-    nm.backward(loss)
+    grads = nm.backward(loss)
     assert ref() is None
     assert loss._consumed and loss._bwd is None and loss._parents == ()
-    np.testing.assert_allclose(x.grad, [2.0, 2.0, 2.0], atol=1e-12)
+    np.testing.assert_allclose(grads[x], [2.0, 2.0, 2.0], atol=1e-12)
 
 
 def test_backward_computes_no_gradient_for_a_constant_operand(monkeypatch):
@@ -514,19 +514,40 @@ def test_backward_computes_no_gradient_for_a_constant_operand(monkeypatch):
     x = nm.constant(rng.normal(size=(6, 4)), dtype=np.float64)
     gain = nm.parameter(rng.normal(size=4), dtype=np.float64)
     bias = nm.parameter(rng.normal(size=4), dtype=np.float64)
-    nm.backward(nm.sum_all(nm.layer_norm(nm.layer_norm(x, gain, bias), gain, bias)))
+    grads = nm.backward(nm.sum_all(nm.layer_norm(nm.layer_norm(x, gain, bias), gain, bias)))
     assert calls == [1, 3, 3]
     assert sent_to_constants == []
-    assert x.grad is None
-    assert gain.grad is not None and bias.grad is not None
+    assert set(grads) == {gain, bias}
 
 
-def test_backward_returns_nothing_and_a_bare_parameter_accumulates():
-    # a bare parameter is a leaf, never consumed: each call adds its unit gradient
+def test_backward_gives_a_bare_parameter_its_unit_gradient_on_every_call():
+    # a bare parameter is a leaf, never consumed, and a call keeps nothing
+    # for the next: each returns the unit gradient afresh
     x = nm.parameter(np.array(2.0), dtype=np.float64)
-    assert nm.backward(x) is None
-    nm.backward(x)
-    np.testing.assert_array_equal(x.grad, 2.0)
+    for _ in range(3):
+        grads = nm.backward(x)
+        assert list(grads) == [x]
+        np.testing.assert_array_equal(grads[x], 1.0)
+
+
+def test_leaves_fed_by_one_add_get_equal_read_only_gradients():
+    a = nm.parameter(np.array([1.0, -2.0]), dtype=np.float64)
+    b = nm.parameter(np.array([3.0, 0.5]), dtype=np.float64)
+    grads = nm.backward(nm.sum_all(nm.add(a, b)))
+    np.testing.assert_array_equal(grads[a], [1.0, 1.0])
+    np.testing.assert_array_equal(grads[b], grads[a])
+    for leaf in (a, b):
+        with pytest.raises(ValueError):
+            grads[leaf][0] = 7.0
+    np.testing.assert_array_equal(grads[b], [1.0, 1.0])
+
+
+def test_backward_gives_no_key_to_a_parameter_the_loss_does_not_reach():
+    x = nm.parameter(np.ones(3), dtype=np.float64)
+    unused = nm.parameter(np.ones(3), dtype=np.float64)
+    grads = nm.backward(nm.sum_all(nm.scale(x, 2.0)))
+    assert list(grads) == [x] and unused not in grads
+    np.testing.assert_allclose(grads[x], [2.0, 2.0, 2.0], atol=1e-12)
 
 
 def test_no_grad_blocks_recording():
@@ -555,7 +576,7 @@ def test_no_grad_is_local_to_its_thread():
             recorded["a_inside"] = inside.wait(timeout=30)
             loss = nm.sum_all(nm.mul(x, nm.scale(x, 3.0)))
             recorded["b"] = loss.requires_grad
-            nm.backward(loss)
+            recorded["grads"] = nm.backward(loss)
         finally:
             done.set()
 
@@ -569,15 +590,8 @@ def test_no_grad_is_local_to_its_thread():
     assert recorded["a_inside"]
     assert recorded["a"] is False
     assert recorded["b"] is True
-    np.testing.assert_allclose(x.grad, [6.0, -12.0], atol=1e-12)
+    np.testing.assert_allclose(recorded["grads"][x], [6.0, -12.0], atol=1e-12)
     assert nm.mul(x, x).requires_grad      # and this thread never left recording
-
-
-def test_leaf_grad_accumulates():
-    x = nm.parameter(np.array([1.0, 1.0]), dtype=np.float64)
-    nm.backward(nm.sum_all(nm.scale(x, 2.0)))
-    nm.backward(nm.sum_all(nm.scale(x, 3.0)))
-    np.testing.assert_allclose(x.grad, [5.0, 5.0], atol=1e-12)
 
 
 def test_tensor_data_is_immutable():

@@ -128,11 +128,11 @@ def test_smoothing_pulls_loss_toward_uniform():
 def test_exactly_zero_loss_is_positive_zero():
     # log_softmax rounds a target far ahead of the rest to 0; the loss
     # carries the sign in the target, so it reads +0.0, not -0.0
-    logits = nm.Tensor(np.array([50.0, 0.0, -3.0], dtype=np.float32), requires_grad=True)
+    logits = nm.parameter([50.0, 0.0, -3.0], dtype=np.float32)
     loss = trn.smoothed_ce_loss(logits, 0, 0.0, 3)
     assert math.copysign(1.0, loss.item()) == 1.0, loss.item()
-    nm.backward(loss)
-    assert logits.grad[0] == 0.0 and np.all(logits.grad[1:] > 0.0), logits.grad
+    grad = nm.backward(loss)[logits]
+    assert grad[0] == 0.0 and np.all(grad[1:] > 0.0), grad
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +185,10 @@ def test_adam_step_leaves_no_gradient_behind():
 
 
 def test_adam_reads_only_the_gradients_it_is_given():
-    # a gradient left in .grad on a tensor loaded from x is not the step's to take
+    # the step takes its gradient from its argument alone: the entries of
+    # a zero slice there stay as they were
     rng = np.random.default_rng(4)
     x = rng.normal(size=6)
-    stale = nm.parameter(x[3:].reshape(3), dtype=np.float64)
-    stale.grad = np.ones(3)
     stepped = trn.Adam().step(x, np.concatenate([np.ones(3), np.zeros(3)]), lr=0.1)
     assert stepped[3:].tobytes() == x[3:].tobytes()
     want = oracles.adam_reference([{"a": np.ones(3)}], {"a": x[:3]}, lr=0.1)
@@ -386,7 +385,8 @@ def test_train_in_one_process_matches_the_workers(monkeypatch):
 
 @pytest.mark.parametrize("variant", fus.VARIANTS)
 def test_every_parameter_gets_a_gradient_in_every_training_sample(monkeypatch, variant):
-    # a sample's gradient concatenates every parameter's .grad with no zero fill,
+    # a sample's gradient concatenates the gradient backward returns for every
+    # parameter, with no zero fill for a missing key,
     # so a head or gate that some sample leaves unreached fails the run here
     enc_cfg = dataclasses.replace(ENC, self_per_block=1)
     assert enc_cfg.dropout > 0
