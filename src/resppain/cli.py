@@ -70,8 +70,11 @@ def finite_float(s: str) -> float:
 
 def positive_float(s: str) -> float:
     """finite_float(s), rejecting zero and negatives; parses the duration, rate and window flags."""
-    if (v := finite_float(s)) <= 0:
-        raise ValueError(f"must be positive, got {s!r}")
+    try:
+        if (v := finite_float(s)) <= 0:
+            raise ValueError(f"must be positive, got {s!r}")
+    except ValueError as e:   # argparse prints the text of this error only, so the flag names its rule
+        raise argparse.ArgumentTypeError(str(e)) from e
     return v
 
 

@@ -150,17 +150,23 @@ def _ffn_rows(prefix: str, d: int, e: int) -> list[ParamRow]:
             + linear_rows(f"{prefix}.wg", d, e * d) + linear_rows(f"{prefix}.wo", e * d, d))
 
 
+def _units(cfg: EncoderConfig) -> Iterator[tuple[str, bool]]:
+    """(key prefix, is cross-attention) of each attention + FFN unit in forward order: per block,
+    each cross-attention unit, then its self-attention units.  The first is block0.cross0."""
+    for b in range(cfg.depth):
+        for c in range(cfg.cross_per_block):
+            yield f"block{b}.cross{c}", True
+            for s in range(cfg.self_per_block):
+                yield f"block{b}.cross{c}.self{s}", False
+
+
 def encoder_param_rows(cfg: EncoderConfig) -> Iterator[ParamRow]:
     """The encoder's rows in key order, lazily: reading the first k costs O(k), whatever the depth."""
     d, e = cfg.model_dim, cfg.ffn_expansion
     yield ("latents", (cfg.n_latents, d), "normal")
-    for b in range(cfg.depth):
-        for c in range(cfg.cross_per_block):
-            base = f"block{b}.cross{c}"
-            yield from _attention_rows(f"{base}.attn", cfg.token_dim, d) + _ffn_rows(f"{base}.ffn", d, e)
-            for s in range(cfg.self_per_block):
-                yield from (_attention_rows(f"{base}.self{s}.attn", d, d)
-                            + _ffn_rows(f"{base}.self{s}.ffn", d, e))
+    for prefix, cross in _units(cfg):
+        yield from (_attention_rows(f"{prefix}.attn", cfg.token_dim if cross else d, d)
+                    + _ffn_rows(f"{prefix}.ffn", d, e))
     yield from linear_rows("proj", d, cfg.out_dim)
 
 
@@ -267,15 +273,10 @@ def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
     lat = params["latents"]
     if query is None:
         query = latent_query(params)
-    for b in range(cfg.depth):
-        for c in range(cfg.cross_per_block):
-            base = f"block{b}.cross{c}"
-            lat = attention(lat, tokens, params, f"{base}.attn", cfg.dropout, rng,
-                            query=query if b == c == 0 else None)
-            lat = gated_ffn(lat, params, f"{base}.ffn", cfg.dropout, rng)
-            for s in range(cfg.self_per_block):
-                lat = attention(lat, lat, params, f"{base}.self{s}.attn", cfg.dropout, rng)
-                lat = gated_ffn(lat, params, f"{base}.self{s}.ffn", cfg.dropout, rng)
+    for prefix, cross in _units(cfg):
+        lat = attention(lat, tokens if cross else lat, params, f"{prefix}.attn", cfg.dropout, rng, query=query)
+        lat = gated_ffn(lat, params, f"{prefix}.ffn", cfg.dropout, rng)
+        query = None   # only the first unit, block0.cross0, takes it
     pooled = nm.mean_axis0(lat)
     return _affine(pooled, params, "proj")
 
@@ -400,6 +401,8 @@ def load_checkpoint(path: str | Path, kinds: tuple[type, ...]) -> tuple[list, di
     (n_tensors,) = r.unpack("<I")
     for _ in range(n_tensors):
         name = r.read_str()
+        if name in params:   # a later copy must not silently replace the first
+            raise CheckpointError(f"{path}: tensor {name!r} appears more than once")
         (ndim,) = r.unpack("<B")
         shape = tuple(r.unpack(f"<{ndim}I")) if ndim else ()
         # an exact product: a corrupt shape must not wrap around int64

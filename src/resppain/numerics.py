@@ -53,6 +53,7 @@ DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+LAYER_NORM_EPS = 1e-5   # added to the variance before its square root
 
 
 class ShapeError(ValueError):
@@ -384,10 +385,10 @@ def log_softmax(a: Tensor) -> Tensor:
     return _result(out, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine.
 
-    Statistics accumulate in float64; variance is the biased (1/d) form.
+    Statistics accumulate in float64; variance is the biased (1/d) form, plus LAYER_NORM_EPS.
     """
     _check_same_dtype(a, gain, bias)
     d = a.shape[-1]
@@ -397,7 +398,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xc = x - x.mean(axis=-1, keepdims=True)
     # the same steps as np.var, without its second mean and subtraction
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = _store(xhat * gain.data.astype(np.float64) + bias.data.astype(np.float64), a)
 

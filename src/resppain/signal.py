@@ -208,10 +208,9 @@ def segment_windows(x: np.ndarray, window_seconds: float, sample_rate_hz: float)
     if x.ndim != 1 or x.size == 0:
         raise DataError(f"segment_windows expects a non-empty vector, got shape {x.shape}")
     w = _window_samples(window_seconds, sample_rate_hz)
-    n = int(math.ceil(x.size / w))
-    padded = np.zeros(n * w, dtype=np.float32)
+    padded = np.zeros(n_windows_for(x.size, window_seconds, sample_rate_hz) * w, dtype=np.float32)
     padded[: x.size] = x
-    return padded.reshape(n, w)
+    return padded.reshape(-1, w)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,8 @@ def lr_at_epoch(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr
 
 
-def smoothed_ce_loss(logits: Tensor, target_index: int, smoothing: float, n_classes: int) -> Tensor:
-    """Cross-entropy against (1-s) * one-hot + s / C uniform mass.
+def smoothed_ce_loss(logits: Tensor, target_index: int, smoothing: float) -> Tensor:
+    """Cross-entropy against (1-s) * one-hot + s / C uniform mass, C the logits vector's length.
 
     s = 0 is exactly standard cross-entropy; uniform logits give ln C for
     every s because the target distribution always sums to one.  The
@@ -108,8 +108,9 @@ def smoothed_ce_loss(logits: Tensor, target_index: int, smoothing: float, n_clas
     """
     if not 0.0 <= smoothing < 1.0:
         raise ValueError(f"smoothing must satisfy 0 <= s < 1, got {smoothing}")
-    if logits.shape != (n_classes,):
-        raise nm.ShapeError(f"logits shape {logits.shape} does not match {n_classes} classes")
+    if len(logits.shape) != 1:
+        raise nm.ShapeError(f"logits must be a vector, got shape {logits.shape}")
+    (n_classes,) = logits.shape
     if not 0 <= target_index < n_classes:
         raise ValueError(f"target index {target_index} outside [0, {n_classes})")
     q = np.full(n_classes, smoothing / n_classes)
@@ -195,9 +196,7 @@ def forward_views(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderC
     order.
     """
     query = enc.latent_query(params)
-    embeddings = [enc.encode(windows[i], enc_cfg, params, rng, query)
-                  for i in range(windows.shape[0])]
-    z_full = enc.encode(padded, enc_cfg, params, rng, query)
+    *embeddings, z_full = [enc.encode(x, enc_cfg, params, rng, query) for x in (*windows, padded)]
     z_add, z_concat = fus.fuse_windows(embeddings)
     return z_add, z_concat, z_full
 
@@ -253,9 +252,9 @@ def metrics_from_confusion(confusion: np.ndarray, mean_loss: float = float("nan"
 
 
 def _eval_record(item: tuple[np.ndarray, np.ndarray, int], enc_cfg: enc.EncoderConfig,
-                 params: dict[str, Tensor], variant: str) -> tuple[int, float]:
-    """(predicted class, unsmoothed loss) of one preprocessed (windows,
-    padded, label) triple.
+                 params: dict[str, Tensor], variant: str) -> tuple[int, int, float]:
+    """(label, predicted class, unsmoothed loss) of one preprocessed
+    (windows, padded, label) triple.
 
     Runs outside the tape with no RNG: augmentation, dropout, and gate
     sampling are all inert, so repeat calls are bit-identical.
@@ -263,19 +262,15 @@ def _eval_record(item: tuple[np.ndarray, np.ndarray, int], enc_cfg: enc.EncoderC
     windows, padded, label_idx = item
     with nm.no_grad():
         logits, _ = forward_logits(windows, padded, enc_cfg, params, variant, None)
-        return int(np.argmax(logits.data)), smoothed_ce_loss(logits, label_idx, 0.0, sig.N_CLASSES).item()
+        return label_idx, int(np.argmax(logits.data)), smoothed_ce_loss(logits, label_idx, 0.0).item()
 
 
-def _report(labels: list[int], rows) -> MetricsReport:
-    """Metrics of (predicted class, loss) rows against their labels."""
-    n_classes = sig.N_CLASSES
-    conf = np.zeros((n_classes, n_classes), dtype=np.int64)
-    losses = []
-    for label_idx, (pred, loss) in zip(labels, rows, strict=True):
-        conf[label_idx, pred] += 1
-        losses.append(loss)
-    mean_loss = float(np.mean(losses)) if losses else float("nan")
-    return metrics_from_confusion(conf, mean_loss)
+def _report(rows) -> MetricsReport:
+    """Metrics of one or more (label, predicted class, loss) rows."""
+    labels, preds, losses = zip(*rows)
+    conf = np.zeros((sig.N_CLASSES, sig.N_CLASSES), dtype=np.int64)
+    np.add.at(conf, (labels, preds), 1)
+    return metrics_from_confusion(conf, float(np.mean(losses)))
 
 
 def evaluate(records: list[sig.RespirationRecord], enc_cfg: enc.EncoderConfig,
@@ -285,8 +280,7 @@ def evaluate(records: list[sig.RespirationRecord], enc_cfg: enc.EncoderConfig,
     if not records:
         raise sig.DataError("evaluate needs at least one record")
     prepared = _prepare(records, prep)
-    return _report([item[2] for item in prepared],
-                   (_eval_record(item, enc_cfg, params, variant) for item in prepared))
+    return _report(_eval_record(item, enc_cfg, params, variant) for item in prepared)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +384,6 @@ def train(train_records: list[sig.RespirationRecord],
     loss_curve: list[float] = []
     best_epoch, best_acc, best_x = -1, -1.0, None
     n = len(train_records)
-    val_labels = [item[2] for item in val_prepared]
 
     def train_sample(params: dict[str, Tensor], job: tuple[int, int, int]):
         """(loss, route, gradient vector in x's layout) of one sample of a batch of batch_len."""
@@ -402,7 +395,7 @@ def train(train_records: list[sig.RespirationRecord],
         windows, padded = preprocess(samples, prep)
         rng_model = stream(train_cfg.seed, _TAG_MODEL, epoch, idx)
         logits, route = forward_logits(windows, padded, enc_cfg, params, variant, rng_model)
-        loss = smoothed_ce_loss(logits, rec.label.index, train_cfg.label_smoothing, n_classes)
+        loss = smoothed_ce_loss(logits, rec.label.index, train_cfg.label_smoothing)
         value = loss.item()
         if not math.isfinite(value):
             raise NumericalError(f"non-finite loss {value} at epoch {epoch}, "
@@ -410,7 +403,7 @@ def train(train_records: list[sig.RespirationRecord],
         grads = nm.backward(nm.scale(loss, 1.0 / batch_len))
         return value, route, np.concatenate([grads[p].ravel() for p in params.values()])
 
-    def eval_record(params: dict[str, Tensor], i: int) -> tuple[int, float]:
+    def eval_record(params: dict[str, Tensor], i: int) -> tuple[int, int, float]:
         return _eval_record(val_prepared[i], enc_cfg, params, variant)
 
     # Each sample's gradient is its own backward pass, summed in batch order:
@@ -438,7 +431,7 @@ def train(train_records: list[sig.RespirationRecord],
                 x = optimizer.step(x, total, lr)
 
             train_loss = float(np.mean(epoch_losses))
-            report = _report(val_labels, pool.map(eval_record, x, list(range(len(val_prepared)))))
+            report = _report(pool.map(eval_record, x, list(range(len(val_prepared)))))
             metrics_lines.append(_format_row(epoch, lr, train_loss, report, hist))
             val_reports.append(report)
             loss_curve.append(train_loss)

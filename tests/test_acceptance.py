@@ -48,14 +48,14 @@ def test_criterion_01_gradients_match_finite_differences():
         params = {k: nm.parameter(v, dtype=np.float64) for k, v in arrays.items()}
         logits, _ = trn.forward_logits(windows, padded, enc_cfg, params, "lf_avg_gate",
                                        np.random.default_rng(123))
-        return trn.smoothed_ce_loss(logits, target, smoothing, 3), params
+        return trn.smoothed_ce_loss(logits, target, smoothing), params
 
     def hard_loss_value(arrays):
         with nm.no_grad():
             params = {k: nm.constant(v, dtype=np.float64) for k, v in arrays.items()}
             logits, _ = trn.forward_logits(windows, padded, enc_cfg, params, "lf_avg_gate",
                                            np.random.default_rng(123))
-            return float(trn.smoothed_ce_loss(logits, target, smoothing, 3).data)
+            return float(trn.smoothed_ce_loss(logits, target, smoothing).data)
 
     loss, params = hard_loss_tensors(base)
     engine = nm.backward(loss)
@@ -405,7 +405,7 @@ def test_criterion_11_loss_and_schedule_sanity():
     for smoothing in (0.0, 0.05, 0.1, 0.5, 0.9):
         for fill in (0.0, 2.5, -7.0):
             logits = nm.constant(np.full(3, fill, dtype=np.float32))
-            loss = float(trn.smoothed_ce_loss(logits, 1, smoothing, 3).data)
+            loss = float(trn.smoothed_ce_loss(logits, 1, smoothing).data)
             assert abs(loss - math.log(3.0)) <= 1e-6, (smoothing, fill, loss)
 
     def schedule_oracle(epoch, lr, epochs, warmup, cooldown):

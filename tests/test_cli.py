@@ -267,6 +267,20 @@ def test_non_positive_window_seconds_flag_is_a_usage_error(workspace, capsys, va
         assert "--window-seconds" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("argv,rule", [
+    (["synth", "--per-class", "1", "--duration-s", "nan"], "--duration-s: must be a finite number, got 'nan'"),
+    (["profile", "--window-seconds", "0"], "--window-seconds: must be positive, got '0'"),
+    (["eval", "--checkpoint", "x.bin", "--data", "m.tsv", "--window-seconds", "-1"],
+     "--window-seconds: must be positive, got '-1'")], ids=["synth", "profile", "eval"])
+def test_rejected_float_flag_names_the_rule_it_broke(tmp_path, capsys, argv, rule):
+    if argv[0] == "synth":
+        argv = argv + ["--out", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    assert rule in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
 def test_train_window_of_no_whole_sample_count_is_a_config_error(workspace, tmp_path, capsys, by_flag):
     # 0.123 s at 100 Hz is 12.3 samples: the settings fail before the run directory is made
@@ -635,6 +649,24 @@ def test_eval_rejects_checkpoint_that_does_not_fit_its_config(workspace, tmp_pat
     assert rc == 4
     err = capsys.readouterr().err
     assert "checkpoint error" in err and named in err
+
+
+def test_eval_rejects_checkpoint_that_names_a_tensor_twice(workspace, tmp_path, capsys):
+    # a second gate.g after the first: loaded by name into one dict, the later
+    # copy would replace the saved one and still fit the config's shapes
+    ckpt = workspace["run"] / "checkpoint_best.bin"
+    header, arrays = enc.load_checkpoint(ckpt, trn.HEADER_TYPES)
+    head, extra = tmp_path / "head.bin", tmp_path / "extra.bin"
+    enc.save_checkpoint(head, trn.HEADER_TYPES, header, {})
+    enc.save_checkpoint(extra, trn.HEADER_TYPES, header, {"gate.g": nm.constant(arrays["gate.g"] + 9)})
+    at = len(head.read_bytes()) - 4   # the u32 tensor count follows the header
+    raw = bytearray(ckpt.read_bytes())
+    struct.pack_into("<I", raw, at, struct.unpack_from("<I", raw, at)[0] + 1)
+    bad = tmp_path / "twice.bin"
+    bad.write_bytes(bytes(raw) + extra.read_bytes()[at + 4:])
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "checkpoint error" in err and "tensor 'gate.g' appears more than once" in err
 
 
 def _eval_rc(checkpoint, manifest, capsys) -> tuple[int, str]:

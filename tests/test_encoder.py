@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import gradcheck, weighted_sum
@@ -295,9 +297,9 @@ def test_forward_views_computes_first_query_once(monkeypatch):
     padded = np.random.default_rng(18).normal(size=75).astype(np.float32)
     real_norm, calls = nm.layer_norm, []
 
-    def counting_norm(a, gain, bias, eps=1e-5):
+    def counting_norm(a, gain, bias):
         calls.append(a is params["latents"])
-        return real_norm(a, gain, bias, eps)
+        return real_norm(a, gain, bias)
 
     monkeypatch.setattr(nm, "layer_norm", counting_norm)
     for rng in (None, np.random.default_rng(0)):
@@ -310,10 +312,10 @@ def test_forward_views_computes_first_query_once(monkeypatch):
 def _counting_latent_norm(monkeypatch, params) -> list:
     real_norm, calls = nm.layer_norm, []
 
-    def counting_norm(a, gain, bias, eps=1e-5):
+    def counting_norm(a, gain, bias):
         if a is params["latents"]:
             calls.append(a)
-        return real_norm(a, gain, bias, eps)
+        return real_norm(a, gain, bias)
 
     monkeypatch.setattr(nm, "layer_norm", counting_norm)
     return calls
@@ -440,6 +442,34 @@ def test_encode_deeper_layouts_run():
         z = enc.encode(np.random.default_rng(23).normal(size=15).astype(np.float32), cfg, params)
         assert z.shape == (cfg.out_dim,)
         assert np.all(np.isfinite(z.data))
+
+
+class _RecordingParams(dict):
+    """A parameter dict that records every name read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(depth=st.integers(1, 2), cross=st.integers(1, 2), self_layers=st.integers(0, 2))
+def test_encode_reads_and_reaches_exactly_the_declared_parameters(depth, cross, self_layers):
+    # the declaration and the forward pass walk one unit list, so for any
+    # layout they name the same parameters, and every one gets a gradient
+    cfg = dataclasses.replace(TINY, depth=depth, cross_per_block=cross, self_per_block=self_layers,
+                              n_latents=2, model_dim=4, fourier_bands=1, ffn_expansion=1, out_dim=2)
+    declared = {name for name, _, _ in enc.encoder_param_rows(cfg)}
+    params = _RecordingParams(_params(cfg, seed=40))
+    assert set(params) == declared
+    z = enc.encode(np.random.default_rng(41).normal(size=5).astype(np.float32), cfg, params)
+    assert params.read == declared
+    grads = nm.backward(weighted_sum(z, seed=5))
+    assert {name for name, p in params.items() if p in grads} == declared
 
 
 # ---------------------------------------------------------------------------
