@@ -10,7 +10,9 @@ cost is O(N c), not O(N d + c d).  Optional
 self-attention layers mix the latents after each cross-attention, and a
 gated feed-forward block follows every attention module.  Mean-pooling
 the final latents plus a learned linear projection yields one embedding
-per input signal, independent of the signal's length.
+per input signal, independent of the signal's length.  `encode` takes all
+of one sample's signals in one call, since the latent half of the first
+cross-attention's scores reads no signal: it is computed once per call.
 
 All attention blocks are pre-layer-norm with residual connections;
 dropout acts on each attention output and on each FFN's gated hidden
@@ -25,7 +27,7 @@ import io
 import math
 import struct
 import typing
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,38 +183,11 @@ def _norm(x: Tensor, params: dict, prefix: str) -> Tensor:
 # ---------------------------------------------------------------------------
 # blocks
 
-def _query_tensors(latents: Tensor, params: dict, prefix: str) -> tuple[Tensor, ...]:
-    """The six tensors the scores' latent half reads, in `_score_query`'s argument order."""
-    return (latents, *(params[f"{prefix}.{n}"] for n in ("ln_q.g", "ln_q.b", "wq.w", "wq.b", "wk.w")))
-
-
-def _score_query(latents: Tensor, ln_g: Tensor, ln_b: Tensor, wq_w: Tensor, wq_b: Tensor, wk_w: Tensor) -> Tensor:
+def _score_query(latents: Tensor, params: dict, prefix: str) -> Tensor:
     """(q wk.w^T) / sqrt(d) with q = wq(ln_q(latents)): the latent half of
     the attention scores, (n, c)."""
-    q = nm.matmul(nm.layer_norm(latents, ln_g, ln_b), wq_w, wq_b)
-    return nm.scale(nm.matmul(q, nm.transpose(wk_w)), 1.0 / np.sqrt(latents.shape[1]))
-
-
-_cached_score_query = functools.lru_cache(maxsize=1)(_score_query)
-
-
-def latent_query(params: dict) -> Tensor:
-    """(q wk.w^T) / sqrt(d) of the first cross-attention, block0.cross0.
-
-    It reads only parameters, never the signal, so every signal encoded
-    with the same params shares it: pass the result to `encode` as
-    `query` to compute it once for all of them.
-
-    Under `no_grad` the last result is kept, keyed on the six tensors
-    it reads, which hash by identity, and returned while `params` maps
-    them to the very same objects.  Tensors are immutable, and `train`
-    builds new ones from its parameter vector for every map (`load(x)`),
-    so new values mean new objects and a miss; the entry holds its key
-    tensors, so their ids cannot be reused.  With the tape live the
-    query is always computed, so gradients reach those tensors.
-    """
-    tensors = _query_tensors(params["latents"], params, "block0.cross0.attn")
-    return (_score_query if nm._grad_enabled.get() else _cached_score_query)(*tensors)
+    q = _affine(_norm(latents, params, f"{prefix}.ln_q"), params, f"{prefix}.wq")
+    return nm.scale(nm.matmul(q, nm.transpose(params[f"{prefix}.wk.w"])), 1.0 / np.sqrt(latents.shape[1]))
 
 
 def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
@@ -234,9 +209,11 @@ def attention(latents: Tensor, context: Tensor, params: dict, prefix: str,
     acts on the (n, d) output before the residual add.  Cross-attention
     passes the token matrix as context; self-attention passes the latents
     themselves.  A given `query` is used in place of the scores' latent
-    half (Q wk.w^T) / sqrt(d); it must be exactly that (`latent_query`).
+    half (Q wk.w^T) / sqrt(d) and must be exactly that: `encode` computes
+    the first unit's once per call and passes it to that unit for every
+    signal.
     """
-    a = _score_query(*_query_tensors(latents, params, prefix)) if query is None else query
+    a = _score_query(latents, params, prefix) if query is None else query
     kn = _norm(context, params, f"{prefix}.ln_kv")
     weights = nm.softmax_rows(nm.matmul(a, nm.transpose(kn)))
     mixed = _affine(nm.matmul(weights, kn), params, f"{prefix}.wv")
@@ -255,30 +232,29 @@ def gated_ffn(x: Tensor, params: dict, prefix: str,
     return nm.add(x, _affine(hidden, params, f"{prefix}.wo"))
 
 
-def encode(signal: np.ndarray, cfg: EncoderConfig, params: dict[str, Tensor],
-           rng: np.random.Generator | None = None, query: Tensor | None = None) -> Tensor:
-    """Signal (T,) -> embedding (out_dim,).
+def encode(signals: Sequence[np.ndarray], cfg: EncoderConfig, params: dict[str, Tensor],
+           rng: np.random.Generator | None = None) -> list[Tensor]:
+    """One sample's signals, each (T_i,) -> their embeddings, each (out_dim,), in order.
 
-    An rng means training, with dropout drawn from it; None means inference.
-    One signal per call: batching is a caller-side loop, so an embedding
-    never depends on what else shares the batch.  The latent half of the
-    first cross-attention's scores, (Q wk.w^T) / sqrt(d), does not depend
-    on the signal either; callers that encode several signals with the
-    same params compute it once with `latent_query(params)` and pass it
-    as `query`.  Left as None, it is computed here, with the same ops and
-    so the same bits.
+    An rng means training, with dropout drawn from it in signal order; None
+    means inference.  The signals run one after another through the same
+    ops, so an embedding never depends on what else shares the call.  The
+    latent half of the first cross-attention's scores, (Q wk.w^T) / sqrt(d),
+    reads no signal, so it is computed once per call and shared by all of
+    them.
     """
     dtype = params["latents"].dtype
-    tokens = nm.constant(fourier_encode(signal, cfg.fourier_bands, cfg.max_freq_hz), dtype=dtype)
-    lat = params["latents"]
-    if query is None:
-        query = latent_query(params)
-    for prefix, cross in _units(cfg):
-        lat = attention(lat, tokens if cross else lat, params, f"{prefix}.attn", cfg.dropout, rng, query=query)
-        lat = gated_ffn(lat, params, f"{prefix}.ffn", cfg.dropout, rng)
-        query = None   # only the first unit, block0.cross0, takes it
-    pooled = nm.mean_axis0(lat)
-    return _affine(pooled, params, "proj")
+    first = _score_query(params["latents"], params, "block0.cross0.attn")
+    embeddings = []
+    for signal in signals:
+        tokens = nm.constant(fourier_encode(signal, cfg.fourier_bands, cfg.max_freq_hz), dtype=dtype)
+        lat, query = params["latents"], first
+        for prefix, cross in _units(cfg):
+            lat = attention(lat, tokens if cross else lat, params, f"{prefix}.attn", cfg.dropout, rng, query=query)
+            lat = gated_ffn(lat, params, f"{prefix}.ffn", cfg.dropout, rng)
+            query = None   # only the first unit, block0.cross0, takes it
+        embeddings.append(_affine(nm.mean_axis0(lat), params, "proj"))
+    return embeddings
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +360,8 @@ class _Reader:
 
 
 def load_checkpoint(path: str | Path, kinds: tuple[type, ...]) -> tuple[list, dict[str, np.ndarray]]:
-    """Inverse of save_checkpoint for the same `kinds`; bit-exact for float32 tensor data."""
+    """Inverse of save_checkpoint for the same `kinds`; bit-exact for float32 tensor data.
+    A tensor holding a NaN or an infinity is refused."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -411,6 +388,9 @@ def load_checkpoint(path: str | Path, kinds: tuple[type, ...]) -> tuple[list, di
             data = np.frombuffer(chunk, dtype="<f4").reshape(shape)
         except ValueError as e:   # an empty tensor whose other dims overflow
             raise CheckpointError(f"{path}: tensor {name!r} has unusable shape {shape}: {e}") from e
+        bad = data.size - np.count_nonzero(np.isfinite(data))
+        if bad:   # a NaN or inf weight would only show as a nan loss and constant predictions
+            raise CheckpointError(f"{path}: tensor {name!r} holds {bad} non-finite value(s)")
         params[name] = np.ascontiguousarray(data, dtype=np.float32)
     if r.off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - r.off} trailing bytes after checkpoint payload")

@@ -185,18 +185,16 @@ def _prepare(records: list[sig.RespirationRecord], prep: sig.PreprocessConfig,
 
 def forward_views(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderConfig,
                   params: dict[str, Tensor], rng: np.random.Generator | None) -> tuple[Tensor, Tensor, Tensor]:
-    """Encode every window plus the full signal with the shared encoder;
-    an rng means training (dropout drawn from it), None means inference.
+    """Encode every window plus the full signal with the shared encoder, in
+    one `enc.encode` call; an rng means training (dropout drawn from it),
+    None means inference.
 
-    The latent half of the first cross-attention's scores,
-    (wq(ln_q(latents)) wk.w^T) / sqrt(d) (`enc.latent_query`), reads no
-    input, so it is computed once here and shared by all S + 1 encodes.
-    Each embedding equals, bit for bit, what `enc.encode` gives for its
-    signal alone.  That path draws no RNG, so dropout draws keep their
-    order.
+    That call computes the latent half of the first cross-attention's
+    scores, (wq(ln_q(latents)) wk.w^T) / sqrt(d), once for all S + 1
+    signals, and each embedding equals, bit for bit, what `enc.encode`
+    gives for its signal alone.
     """
-    query = enc.latent_query(params)
-    *embeddings, z_full = [enc.encode(x, enc_cfg, params, rng, query) for x in (*windows, padded)]
+    *embeddings, z_full = enc.encode([*windows, padded], enc_cfg, params, rng)
     z_add, z_concat = fus.fuse_windows(embeddings)
     return z_add, z_concat, z_full
 
@@ -229,7 +227,7 @@ class MetricsReport:
     confusion: np.ndarray     # (C, C) int64, rows = true, cols = predicted
 
 
-def metrics_from_confusion(confusion: np.ndarray, mean_loss: float = float("nan")) -> MetricsReport:
+def metrics_from_confusion(confusion: np.ndarray, mean_loss: float) -> MetricsReport:
     conf = np.asarray(confusion, dtype=np.int64)
     if conf.ndim != 2 or conf.shape[0] != conf.shape[1]:
         raise ValueError(f"confusion must be square, got shape {conf.shape}")

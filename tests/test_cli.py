@@ -669,6 +669,21 @@ def test_eval_rejects_checkpoint_that_names_a_tensor_twice(workspace, tmp_path, 
     assert "checkpoint error" in err and "tensor 'gate.g' appears more than once" in err
 
 
+@pytest.mark.parametrize("name,value", [("latents", float("nan")),
+                                        ("block0.cross0.ffn.wo.w", float("inf")),
+                                        ("gate.g", float("-inf"))])
+def test_eval_rejects_checkpoint_tensor_that_is_not_finite(workspace, tmp_path, capsys, name, value):
+    # loaded, such a tensor would give a nan loss and one class for every record, and exit 0
+    header, arrays = enc.load_checkpoint(workspace["run"] / "checkpoint_best.bin", trn.HEADER_TYPES)
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[-1] = value
+    bad = tmp_path / "bad.bin"
+    enc.save_checkpoint(bad, trn.HEADER_TYPES, header, {k: nm.constant(v) for k, v in arrays.items()})
+    rc, err = _eval_rc(bad, workspace["data"] / "manifest.tsv", capsys)
+    assert rc == 4
+    assert "checkpoint error" in err and f"tensor {name!r} holds 1 non-finite value(s)" in err
+
+
 def _eval_rc(checkpoint, manifest, capsys) -> tuple[int, str]:
     rc = cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(manifest)])
     return rc, capsys.readouterr().err

@@ -2,8 +2,6 @@
 structural invariants, gradients, and checkpoint serialization."""
 
 import dataclasses
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -240,7 +238,7 @@ def test_encode_output_shape_independent_of_length():
     params = _params(TINY, seed=9)
     rng = np.random.default_rng(10)
     for t in (1, 5, 50, 500):
-        z = enc.encode(rng.normal(size=t).astype(np.float32), TINY, params)
+        z = enc.encode([rng.normal(size=t).astype(np.float32)], TINY, params)[0]
         assert z.shape == (TINY.out_dim,)
         assert z.data.dtype == np.float32
         assert np.all(np.isfinite(z.data))
@@ -249,8 +247,8 @@ def test_encode_output_shape_independent_of_length():
 def test_encode_deterministic():
     params = _params(TINY, seed=11)
     x = np.random.default_rng(12).normal(size=40).astype(np.float32)
-    a = enc.encode(x, TINY, params).data
-    b = enc.encode(x, TINY, params).data
+    a = enc.encode([x], TINY, params)[0].data
+    b = enc.encode([x], TINY, params)[0].data
     np.testing.assert_array_equal(a, b)
 
 
@@ -258,35 +256,33 @@ def test_encode_dropout_reproducible_and_stochastic():
     cfg = dataclasses.replace(TINY, dropout=0.3)
     params = _params(cfg, seed=13)
     x = np.random.default_rng(14).normal(size=30).astype(np.float32)
-    a = enc.encode(x, cfg, params, rng=np.random.default_rng(99)).data
-    b = enc.encode(x, cfg, params, rng=np.random.default_rng(99)).data
-    c = enc.encode(x, cfg, params, rng=np.random.default_rng(100)).data
+    a = enc.encode([x], cfg, params, rng=np.random.default_rng(99))[0].data
+    b = enc.encode([x], cfg, params, rng=np.random.default_rng(99))[0].data
+    c = enc.encode([x], cfg, params, rng=np.random.default_rng(100))[0].data
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     # eval path ignores dropout entirely
-    d = enc.encode(x, cfg, params, rng=None).data
-    e = enc.encode(x, cfg, params).data
+    d = enc.encode([x], cfg, params, rng=None)[0].data
+    e = enc.encode([x], cfg, params)[0].data
     np.testing.assert_array_equal(d, e)
 
 
 def test_encode_batch_composition_invariance():
-    # an embedding is a function of its own signal only: inside a real
-    # forward pass, where all S + 1 encodes share one first-layer query, each
-    # embedding equals the one encode gives for that signal alone
+    # an embedding is a function of its own signal only: one call's signals
+    # share the first layer's query, yet beside any companions, of any
+    # lengths and at any position, each equals what a lone call gives it
     for layout in ((1, 1, 0), (2, 1, 1)):
         cfg = dataclasses.replace(TINY, depth=layout[0], self_per_block=layout[2])
         params = _params(cfg, seed=15)
         rng = np.random.default_rng(16)
-        windows = rng.normal(size=(3, 25)).astype(np.float32)
-        padded = rng.normal(size=75).astype(np.float32)
-        solo = [enc.encode(w, cfg, params).data for w in windows]
-        solo_full = enc.encode(padded, cfg, params).data
-        with nm.no_grad():
-            z_add, z_concat, z_full = trn.forward_views(windows, padded, cfg, params, None)
-        np.testing.assert_array_equal(z_full.data, solo_full)
-        np.testing.assert_array_equal(z_concat.data, np.concatenate(solo))
-        np.testing.assert_array_equal(
-            z_add.data, nm.add_n([nm.constant(z) for z in solo]).data)
+        x = rng.normal(size=25).astype(np.float32)
+        others = [rng.normal(size=t).astype(np.float32) for t in (25, 1, 7, 75, 25)]
+        for batch in ([x, *others[:1]], [*others[1:3], x], [others[3], x, others[4], x], others + [x]):
+            with nm.no_grad():
+                together = enc.encode(batch, cfg, params)
+            assert len(together) == len(batch)
+            for signal, z in zip(batch, together):
+                np.testing.assert_array_equal(z.data, enc.encode([signal], cfg, params)[0].data)
 
 
 def test_forward_views_computes_first_query_once(monkeypatch):
@@ -309,91 +305,10 @@ def test_forward_views_computes_first_query_once(monkeypatch):
         assert len(calls) == 1 + 4 * 2    # plus ln_kv and the FFN norm per encode
 
 
-def _counting_latent_norm(monkeypatch, params) -> list:
-    real_norm, calls = nm.layer_norm, []
-
-    def counting_norm(a, gain, bias):
-        if a is params["latents"]:
-            calls.append(a)
-        return real_norm(a, gain, bias)
-
-    monkeypatch.setattr(nm, "layer_norm", counting_norm)
-    return calls
-
-
-def test_latent_query_is_reused_under_no_grad(monkeypatch):
-    params = _params(TINY, seed=21)
-    calls = _counting_latent_norm(monkeypatch, params)
-    with nm.no_grad():
-        first = enc.latent_query(params)
-        assert enc.latent_query(params) is first
-        assert enc.latent_query(dict(params)) is first   # same tensors, another dict
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("name", ["latents"] + [f"block0.cross0.attn.{n}" for n in
-                                                ("ln_q.g", "ln_q.b", "wq.w", "wq.b", "wk.w")])
-def test_latent_query_is_recomputed_after_a_step_replaces_one_of_its_tensors(name):
-    params = _params(TINY, seed=21)
-    with nm.no_grad():
-        before = enc.latent_query(params)
-    stepped = trn.Adam().step(params[name].data, np.ones(params[name].shape, dtype=np.float32), lr=0.01)
-    params[name] = nm.parameter(stepped)   # a fresh parameter for this tensor only, as after a step
-    with nm.no_grad():
-        after = enc.latent_query(params)
-    fresh = enc._score_query(*enc._query_tensors(params["latents"], params, "block0.cross0.attn"))
-    np.testing.assert_array_equal(after.data, fresh.data)
-    assert not np.array_equal(after.data, before.data)
-
-
-def test_latent_query_with_live_tape_always_records(monkeypatch):
-    params = _params(TINY, seed=22)
-    calls = _counting_latent_norm(monkeypatch, params)
-    with nm.no_grad():
-        enc.latent_query(params)
-    queries = [enc.latent_query(params) for _ in range(2)]
-    assert len(calls) == 3
-    assert queries[0] is not queries[1] and all(q.requires_grad for q in queries)
-    grads = nm.backward(weighted_sum(queries[1], seed=3))
-    assert all(t in grads and np.any(grads[t] != 0)
-               for t in enc._query_tensors(params["latents"], params, "block0.cross0.attn"))
-
-
-def test_latent_query_cache_pairs_each_key_with_its_own_query_across_threads():
-    # threads alternate between two param sets; a query read with the other
-    # set's key would show as a wrong value
-    sets = [_params(TINY, seed=s) for s in (23, 24)]
-    with nm.no_grad():
-        want = [enc._score_query(*enc._query_tensors(p["latents"], p, "block0.cross0.attn")).data
-                for p in sets]
-    wrong, finished = [], []
-
-    def worker(offset: int):
-        with nm.no_grad():
-            for i in range(2000):   # a torn (key, query) write shows within ~2 s
-                k = (i + offset) % 2
-                if not np.array_equal(enc.latent_query(sets[k]).data, want[k]):
-                    wrong.append(k)
-        finished.append(offset)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(finished) == [0, 1, 2, 3] and wrong == []
-
-
 def test_encode_gradients_reach_every_parameter():
     params = _params(TINY, seed=17)
     x = np.random.default_rng(18).normal(size=20).astype(np.float32)
-    grads = nm.backward(weighted_sum(enc.encode(x, TINY, params), seed=1))
+    grads = nm.backward(weighted_sum(enc.encode([x], TINY, params)[0], seed=1))
     assert all(p in grads and np.any(grads[p] != 0) for p in params.values())
 
 
@@ -409,7 +324,7 @@ def test_encode_gradcheck_tiny():
     x = np.random.default_rng(20).normal(size=6).astype(np.float64)
 
     def build(tensors):
-        return weighted_sum(enc.encode(x, cfg, dict(zip(names, tensors))), seed=2)
+        return weighted_sum(enc.encode([x], cfg, dict(zip(names, tensors)))[0], seed=2)
 
     for seed in (21, 22, 23, 24, 25):
         assert gradcheck(build, shapes, seed=seed, h=1e-5) < 1e-4, seed
@@ -429,7 +344,7 @@ def test_encode_gradcheck_token_width_below_model_width_with_self_layer():
     x = np.random.default_rng(33).normal(size=12).astype(np.float64)
 
     def build(tensors):
-        return weighted_sum(enc.encode(x, cfg, dict(zip(names, tensors))), seed=4)
+        return weighted_sum(enc.encode([x], cfg, dict(zip(names, tensors)))[0], seed=4)
 
     assert gradcheck(build, shapes, seed=34, h=1e-5) < 1e-4
 
@@ -439,7 +354,7 @@ def test_encode_deeper_layouts_run():
         cfg = dataclasses.replace(TINY, depth=layout[0], cross_per_block=layout[1],
                                   self_per_block=layout[2])
         params = _params(cfg, seed=22)
-        z = enc.encode(np.random.default_rng(23).normal(size=15).astype(np.float32), cfg, params)
+        z = enc.encode([np.random.default_rng(23).normal(size=15).astype(np.float32)], cfg, params)[0]
         assert z.shape == (cfg.out_dim,)
         assert np.all(np.isfinite(z.data))
 
@@ -466,7 +381,7 @@ def test_encode_reads_and_reaches_exactly_the_declared_parameters(depth, cross, 
     declared = {name for name, _, _ in enc.encoder_param_rows(cfg)}
     params = _RecordingParams(_params(cfg, seed=40))
     assert set(params) == declared
-    z = enc.encode(np.random.default_rng(41).normal(size=5).astype(np.float32), cfg, params)
+    z = enc.encode([np.random.default_rng(41).normal(size=5).astype(np.float32)], cfg, params)[0]
     assert params.read == declared
     grads = nm.backward(weighted_sum(z, seed=5))
     assert {name for name, p in params.items() if p in grads} == declared

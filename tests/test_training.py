@@ -208,14 +208,14 @@ def test_adam_skips_parameters_without_gradients():
 # metrics
 
 def test_metrics_perfect_and_constant_predictors():
-    perfect = trn.metrics_from_confusion(np.diag([5, 5, 5]))
+    perfect = trn.metrics_from_confusion(np.diag([5, 5, 5]), mean_loss=0.0)
     assert perfect.macro_accuracy == 1.0
     assert perfect.macro_precision == 1.0
     assert perfect.macro_f1 == 1.0
     assert perfect.plain_accuracy == 1.0
 
     # always predict class 0 on a balanced set
-    constant = trn.metrics_from_confusion(np.array([[5, 0, 0], [5, 0, 0], [5, 0, 0]]))
+    constant = trn.metrics_from_confusion(np.array([[5, 0, 0], [5, 0, 0], [5, 0, 0]]), mean_loss=1.0)
     assert constant.macro_accuracy == pytest.approx(1.0 / 3.0)
     assert constant.macro_precision == pytest.approx(1.0 / 9.0)
     assert constant.macro_f1 == pytest.approx(0.5 / 3.0)
@@ -235,11 +235,11 @@ def test_metrics_hand_confusion():
 
 
 def test_metrics_zero_support_class_contributes_zero():
-    rep = trn.metrics_from_confusion(np.array([[2, 0], [0, 0]]))
+    rep = trn.metrics_from_confusion(np.array([[2, 0], [0, 0]]), mean_loss=0.5)
     assert rep.macro_accuracy == pytest.approx(0.5)
     assert rep.plain_accuracy == 1.0
     with pytest.raises(ValueError):
-        trn.metrics_from_confusion(np.zeros((2, 3)))
+        trn.metrics_from_confusion(np.zeros((2, 3)), mean_loss=0.5)
 
 
 # ---------------------------------------------------------------------------
