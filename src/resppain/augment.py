@@ -76,7 +76,7 @@ def _noise_for_snr(x: np.ndarray, snr: float, rng: np.random.Generator) -> np.nd
     return (np.asarray(x, dtype=np.float64) + sigma * rng.standard_normal(x.shape)).astype(np.float32)
 
 
-def draw_snr(rng: np.random.Generator, k_range: tuple[float, float] = (1.0, 1000.0)) -> float:
+def draw_snr(rng: np.random.Generator, k_range: tuple[float, float]) -> float:
     """k ~ U(k_range), then SNR ~ U(0.001k, 0.005k)."""
     k = rng.uniform(k_range[0], k_range[1])
     return float(rng.uniform(SNR_COEFF_LOW * k, SNR_COEFF_HIGH * k))

@@ -175,7 +175,9 @@ def _head_flops(variant: str, n_windows: int, embed_dim: int, n_classes: int) ->
     """(head FLOPs, gate FLOPs) for one pipeline forward.
 
     A logit mean over k heads (its own combiner, or the gate's fourth
-    route) counts k * n_classes with the heads.
+    route) counts k * n_classes with the heads.  The gate term counts the
+    training-time gate (noise add, softmax, route mixing); inference's
+    argmax over the gate scores costs none.
     """
     mac, routes = FLOPS_PER_MAC, fus.N_ROUTES
     spec = fus.variant_spec(variant)
@@ -187,7 +189,6 @@ def _head_flops(variant: str, n_windows: int, embed_dim: int, n_classes: int) ->
     gate = 0
     if spec.combiner == "gate":
         gate = (routes                                    # noise add
-                + routes                                  # temperature scale
                 + SOFTMAX_FLOPS_PER_ELEM * routes
                 + mac * routes * n_classes)               # route mixing
     elif spec.combiner == "coef":
@@ -201,7 +202,7 @@ def count_flops(cfg: EncoderConfig, input_length: int, n_windows: int,
 
     windows term: n_windows fixed encoder invocations whose token work
     tiles the input samples; full-signal term: one more invocation over
-    all samples; plus heads and gate.  Fusion adds (z_add) are counted
+    all samples; plus heads and gate.  The add view's window sums are counted
     with the heads' window term.
     """
     if input_length < 1:
@@ -209,7 +210,7 @@ def count_flops(cfg: EncoderConfig, input_length: int, n_windows: int,
     if n_windows < 1:
         raise ValueError(f"n_windows must be >= 1, got {n_windows}")
     fixed, per_token = encode_flops_split(cfg)
-    fuse_adds = (n_windows - 1) * cfg.out_dim   # z_add accumulation
+    fuse_adds = (n_windows - 1) * cfg.out_dim   # the add view's accumulation
     heads, gate = _head_flops(variant, n_windows, cfg.out_dim, n_classes)
     by_component = {
         "windows": n_windows * fixed + input_length * per_token,

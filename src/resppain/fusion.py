@@ -1,13 +1,14 @@
 """Multi-window representation fusion and the hard gate over logit routes.
 
 One shared encoder emits an embedding per window plus one for the full
-signal.  Window embeddings fuse two ways -- elementwise sum and ordered
-concatenation -- and each fused view plus the full-signal view feeds its
-own linear head.  A fourth route averages the three logit vectors. The
-default variant routes between the four with a learnable hard
-Gumbel-Softmax gate: given an rng (training) one route is sampled as a
-one-hot (straight-through gradients keep the gate trainable); given None
-(inference) the argmax route is taken deterministically, nothing sampled.
+signal, and `classify` takes both.  It fuses the window embeddings two
+ways -- elementwise sum and ordered concatenation -- and each fused view
+plus the full-signal view feeds its own linear head.  A fourth route
+averages the three logit vectors.  The default variant routes between the
+four with a learnable hard Gumbel-Softmax gate: given an rng (training)
+one route is sampled as a one-hot (straight-through gradients keep the
+gate trainable); given None (inference) the argmax route is taken
+deterministically, nothing sampled.
 
 Each fusion variant is one `VARIANT_SPECS` entry (its heads and their
 input views, plus a combiner); the parameter declaration, init, forward
@@ -45,7 +46,7 @@ class VariantSpec:
     combiner: str
 
     def head_widths(self, n_windows: int, embed_dim: int) -> list[tuple[str, int]]:
-        """(prefix, input width) per head: z_concat is n_windows embeddings wide."""
+        """(prefix, input width) per head: the concat view is n_windows embeddings wide."""
         widths = {"add": embed_dim, "concat": n_windows * embed_dim, "full": embed_dim}
         return [(name, sum(widths[v] for v in views)) for name, views in self.heads]
 
@@ -72,16 +73,6 @@ def variant_spec(variant: str) -> VariantSpec:
     return VARIANT_SPECS[variant]
 
 
-def fuse_windows(embeddings: list[Tensor]) -> tuple[Tensor, Tensor]:
-    """Window embeddings -> (z_add, z_concat).
-
-    z_add is the elementwise sum (order-free, fixed width); z_concat is
-    the order-preserving concatenation (width grows with window count).
-    The two ops raise ShapeError for no embeddings, unequal widths or a non-vector.
-    """
-    return nm.add_n(embeddings), nm.concat_vec(embeddings)
-
-
 def _head(z: Tensor, params: dict, prefix: str) -> Tensor:
     w = params[f"{prefix}.w"]
     if z.shape[0] != w.shape[0]:
@@ -91,9 +82,7 @@ def _head(z: Tensor, params: dict, prefix: str) -> Tensor:
     return nm.matmul(z, w, params[f"{prefix}.b"])
 
 
-def _head_logits(spec: VariantSpec, z_add: Tensor, z_concat: Tensor, z_full: Tensor,
-                 params: dict) -> list[Tensor]:
-    views = {"add": z_add, "concat": z_concat, "full": z_full}
+def _head_logits(spec: VariantSpec, views: dict[str, Tensor], params: dict) -> list[Tensor]:
     logits = []
     for name, inputs in spec.heads:
         z = views[inputs[0]] if len(inputs) == 1 else nm.concat_vec([views[v] for v in inputs])
@@ -144,15 +133,20 @@ def fusion_param_rows(variant: str, n_windows: int, embed_dim: int, n_classes: i
         yield (name, (size,), "zeros")
 
 
-def classify(z_add: Tensor, z_concat: Tensor, z_full: Tensor, params: dict, variant: str,
+def classify(windows: list[Tensor], z_full: Tensor, params: dict, variant: str,
              rng: np.random.Generator | None) -> tuple[Tensor, int | None]:
-    """Fused views -> (final class logits, gate route or None); an rng means training.
+    """Window and full-signal embeddings -> (final class logits, gate route
+    or None); an rng means training.
 
-    Only the gate combiner reports a route index; the others have no
-    discrete selection to log.
+    The views are formed here, before any head runs: "add" is the windows'
+    elementwise sum (order-free, fixed width), "concat" their concatenation
+    in window order (width grows with window count), "full" is z_full.  No
+    windows, unequal widths or a non-vector raise ShapeError.  Only the gate
+    combiner reports a route index; the others have no discrete selection to log.
     """
     spec = variant_spec(variant)
-    logits = _head_logits(spec, z_add, z_concat, z_full, params)
+    views = {"add": nm.add_n(windows), "concat": nm.concat_vec(windows), "full": z_full}
+    logits = _head_logits(spec, views, params)
     if spec.combiner == "gate":
         return gumbel_gate([*logits, _mean(logits)], params["gate.g"], rng)
     if spec.combiner == "mean":

@@ -183,28 +183,18 @@ def _prepare(records: list[sig.RespirationRecord], prep: sig.PreprocessConfig,
     return prepared
 
 
-def forward_views(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderConfig,
-                  params: dict[str, Tensor], rng: np.random.Generator | None) -> tuple[Tensor, Tensor, Tensor]:
-    """Encode every window plus the full signal with the shared encoder, in
-    one `enc.encode` call; an rng means training (dropout drawn from it),
-    None means inference.
-
-    That call computes the latent half of the first cross-attention's
-    scores, (wq(ln_q(latents)) wk.w^T) / sqrt(d), once for all S + 1
-    signals, and each embedding equals, bit for bit, what `enc.encode`
-    gives for its signal alone.
-    """
-    *embeddings, z_full = enc.encode([*windows, padded], enc_cfg, params, rng)
-    z_add, z_concat = fus.fuse_windows(embeddings)
-    return z_add, z_concat, z_full
-
-
 def forward_logits(windows: np.ndarray, padded: np.ndarray, enc_cfg: enc.EncoderConfig,
                    params: dict[str, Tensor], variant: str,
                    rng: np.random.Generator | None) -> tuple[Tensor, int | None]:
-    """(class logits, gate route or None) of one sample; an rng means training, None inference."""
-    z_add, z_concat, z_full = forward_views(windows, padded, enc_cfg, params, rng)
-    return fus.classify(z_add, z_concat, z_full, params, variant, rng)
+    """(class logits, gate route or None) of one sample; an rng means
+    training (dropout and the gate's noise drawn from it), None inference.
+
+    One `enc.encode` call embeds every window and then the full signal, so
+    the first cross-attention's latent half is computed once per sample;
+    `fus.classify` builds its views from those embeddings.
+    """
+    *embeddings, z_full = enc.encode([*windows, padded], enc_cfg, params, rng)
+    return fus.classify(embeddings, z_full, params, variant, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +262,7 @@ def _report(rows) -> MetricsReport:
 
 
 def evaluate(records: list[sig.RespirationRecord], enc_cfg: enc.EncoderConfig,
-             params: dict[str, Tensor], prep: sig.PreprocessConfig,
-             variant: str = fus.DEFAULT_VARIANT) -> MetricsReport:
+             params: dict[str, Tensor], prep: sig.PreprocessConfig, variant: str) -> MetricsReport:
     """Full-pipeline evaluation of raw records (no augmentation)."""
     if not records:
         raise sig.DataError("evaluate needs at least one record")
@@ -316,10 +305,9 @@ def pipeline_param_rows(enc_cfg: enc.EncoderConfig, variant: str, n_windows: int
 
 
 def init_pipeline_params(enc_cfg: enc.EncoderConfig, variant: str, n_windows: int,
-                         n_classes: int, rng: np.random.Generator,
-                         dtype=nm.DEFAULT_DTYPE) -> dict[str, Tensor]:
+                         n_classes: int, rng: np.random.Generator) -> dict[str, Tensor]:
     """Encoder parameters followed by fusion heads/gate, one flat dict."""
-    return enc.draw_params(pipeline_param_rows(enc_cfg, variant, n_windows, n_classes), rng, dtype)
+    return enc.draw_params(pipeline_param_rows(enc_cfg, variant, n_windows, n_classes), rng)
 
 
 def _format_row(epoch: int, lr: float, train_loss: float, rep: MetricsReport,

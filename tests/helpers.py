@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 import oracles
+from resppain import fusion as fus
 from resppain import numerics as nm
 
 
@@ -44,6 +45,14 @@ def fresh(path: Path) -> Path:
 def sub(a: nm.Tensor, b: nm.Tensor) -> nm.Tensor:
     """a - b, same shapes only, composed from the engine's add and scale."""
     return nm.add(a, nm.scale(b, -1.0))
+
+
+def gate_routes(windows: list[nm.Tensor], z_full: nm.Tensor, params: dict) -> list[nm.Tensor]:
+    """The lf_avg_gate gate's four routes: the logits of its heads over the
+    windows' sum, their concatenation and z_full, then the heads' mean."""
+    views = {"add": nm.add_n(windows), "concat": nm.concat_vec(windows), "full": z_full}
+    heads = fus._head_logits(fus.VARIANT_SPECS["lf_avg_gate"], views, params)
+    return [*heads, fus._mean(heads)]
 
 
 def weighted_sum(t: nm.Tensor, seed: int = 0) -> nm.Tensor:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import enumerate_params
+from helpers import enumerate_params, gate_routes
 from resppain import augment as aug
 from resppain import cost
 from resppain import encoder as enc
@@ -95,9 +95,8 @@ def test_criterion_01_gradients_match_finite_differences():
     gamma = fus.sample_gumbel(np.random.default_rng(123), (4,))
     with nm.no_grad():
         consts = {k: nm.constant(v, dtype=np.float64) for k, v in base.items()}
-        z = trn.forward_views(windows, padded, enc_cfg, consts, np.random.default_rng(123))
-        heads = fus._head_logits(fus.VARIANT_SPECS["lf_avg_gate"], *z, consts)
-        routes = np.stack([t.data for t in (*heads, fus._mean(heads))]).astype(np.float64)
+        *embeddings, z_full = enc.encode([*windows, padded], enc_cfg, consts, np.random.default_rng(123))
+        routes = np.stack([t.data for t in gate_routes(embeddings, z_full, consts)]).astype(np.float64)
 
     def soft_weights(gvec):
         scores = gvec + gamma

@@ -285,10 +285,10 @@ def test_encode_batch_composition_invariance():
                 np.testing.assert_array_equal(z.data, enc.encode([signal], cfg, params)[0].data)
 
 
-def test_forward_views_computes_first_query_once(monkeypatch):
+def test_forward_logits_computes_first_query_once(monkeypatch):
     # the first cross-attention's query path, wq(ln_q(latents)), reads no
-    # input: one layer_norm of the latents per forward, not one per encode
-    params = _params(TINY, seed=15)
+    # input: one layer_norm of the latents per forward, not one per signal
+    params = trn.init_pipeline_params(TINY, "lf_avg_gate", 3, 3, np.random.default_rng(15))
     windows = np.random.default_rng(17).normal(size=(3, 25)).astype(np.float32)
     padded = np.random.default_rng(18).normal(size=75).astype(np.float32)
     real_norm, calls = nm.layer_norm, []
@@ -300,9 +300,9 @@ def test_forward_views_computes_first_query_once(monkeypatch):
     monkeypatch.setattr(nm, "layer_norm", counting_norm)
     for rng in (None, np.random.default_rng(0)):
         calls.clear()
-        trn.forward_views(windows, padded, TINY, params, rng)
+        trn.forward_logits(windows, padded, TINY, params, "lf_avg_gate", rng)
         assert sum(calls) == 1
-        assert len(calls) == 1 + 4 * 2    # plus ln_kv and the FFN norm per encode
+        assert len(calls) == 1 + 4 * 2    # plus ln_kv and the FFN norm per signal
 
 
 def test_encode_gradients_reach_every_parameter():

@@ -502,7 +502,7 @@ def test_train_and_evaluate_reject_mismatched_sample_rate():
     params = trn.init_pipeline_params(ENC, fus.DEFAULT_VARIANT, PREP.n_windows, sig.N_CLASSES,
                                       np.random.default_rng(0))
     with pytest.raises(sig.DataError, match="slow-50hz"):
-        trn.evaluate(records[:1] + [slow], ENC, params, PREP)
+        trn.evaluate(records[:1] + [slow], ENC, params, PREP, fus.DEFAULT_VARIANT)
 
 
 def test_train_periodic_checkpoints(tmp_path):
