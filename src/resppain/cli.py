@@ -244,16 +244,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError("--val-per-class and --test-per-class must be >= 0")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    out = _make_out_dir(args.out)
     counts = {"train": args.per_class, "val": args.val_per_class, "test": args.test_per_class}
+    # every split is generated, and its duration and rate checked, before --out is made
+    splits = {split: sig.synth_dataset(per_class, seed=[args.seed, split_idx],
+                                       duration_s=args.duration_s,
+                                       sample_rate_hz=args.sample_rate_hz,
+                                       id_prefix=split)
+              for split_idx, (split, per_class) in enumerate(counts.items()) if per_class > 0}
+    out = _make_out_dir(args.out)
     entries = []
-    for split_idx, (split, per_class) in enumerate(counts.items()):
-        if per_class == 0:
-            continue
-        records = sig.synth_dataset(per_class, seed=[args.seed, split_idx],
-                                    duration_s=args.duration_s,
-                                    sample_rate_hz=args.sample_rate_hz,
-                                    id_prefix=f"{split}")
+    for split, records in splits.items():
         for i, rec in enumerate(records):
             rel = f"{split}_{i:04d}.txt"
             sig.save_record(out / rel, rec)
@@ -313,8 +313,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    if args.input_len < 1:
-        raise ConfigError(f"--input-len must be >= 1, got {args.input_len}")
+    if not 1 <= args.input_len <= sig.MAX_SAMPLES:
+        raise ConfigError(f"--input-len must be in [1, {sig.MAX_SAMPLES}], got {args.input_len}")
     defaults = enc.EncoderConfig()
     n_windows = sig.n_windows_for(args.input_len, args.window_seconds, sig.SAMPLE_RATE_HZ)
     window_samples = sig._window_samples(args.window_seconds, sig.SAMPLE_RATE_HZ)
@@ -322,27 +322,23 @@ def cmd_profile(args: argparse.Namespace) -> int:
           f"window of {window_samples} samples:")
     print(f"{'depth':>5} {'cross':>5} {'self':>5} {'params(M)':>10} {'ref(M)':>7} {'dev%':>7} "
           f"{'flops(G)':>9} {'ref(G)':>7} {'dev%':>7}")
-    for layout in enc.STANDARD_GRID:
-        d, c, s = layout
+    for (d, c, s), (ref_p, ref_f) in cost.REFERENCE_COSTS.items():
         cfg = dataclasses.replace(defaults, depth=d, cross_per_block=c, self_per_block=s)
         report = cost.count_params(cfg, n_windows=n_windows)
         flops = cost.encode_flops(cfg, window_samples)
-        ref_p, ref_f = cost.REFERENCE_COSTS[layout]
         pm, fg = report.params_total / 1e6, flops / 1e9
         print(f"{d:>5} {c:>5} {s:>5} {pm:>10.2f} {ref_p:>7.2f} {100 * (pm - ref_p) / ref_p:>+7.1f} "
               f"{fg:>9.2f} {ref_f:>7.2f} {100 * (fg - ref_f) / ref_f:>+7.1f}")
 
     print()
-    print(f"pipeline FLOPs vs window size on a {args.input_len}-sample input, layout (1,1,0):")
+    print(f"pipeline FLOPs vs window size on a {args.input_len}-sample input, "
+          f"layout ({','.join(map(str, defaults.layout()))}):")
     print(f"{'T(s)':>5} {'windows':>8} {'flops(G)':>10}")
-    base = enc.EncoderConfig(depth=1, cross_per_block=1, self_per_block=0)
-    rows = []
+    flops_by_t = {}
     for t in range(1, 6):
         nw = sig.n_windows_for(args.input_len, float(t), sig.SAMPLE_RATE_HZ)
-        rep = cost.count_flops(base, args.input_len, nw)
-        rows.append((t, nw, rep.flops_forward))
-        print(f"{t:>5} {nw:>8} {rep.flops_forward / 1e9:>10.3f}")
-    flops_by_t = {t: f for t, _, f in rows}
+        flops_by_t[t] = cost.count_flops(defaults, args.input_len, nw).flops_forward
+        print(f"{t:>5} {nw:>8} {flops_by_t[t] / 1e9:>10.3f}")
     t_min = min(flops_by_t, key=lambda t: (flops_by_t[t], -t))
     t_max = max(flops_by_t, key=lambda t: (flops_by_t[t], t))
     print(f"max at T={t_max}, min at T={t_min} "
@@ -365,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--test-per-class", type=int, default=0)
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="output directory")
-    p_synth.add_argument("--duration-s", type=positive_float, default=10.0, dest="duration_s")
+    p_synth.add_argument("--duration-s", type=positive_float, default=sig.SYNTH_DURATION_S, dest="duration_s")
     p_synth.add_argument("--sample-rate-hz", type=positive_float, default=sig.SAMPLE_RATE_HZ,
                          dest="sample_rate_hz")
     p_synth.set_defaults(func=cmd_synth)
@@ -388,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="parameter/FLOP tables for the standard layouts")
     p_prof.add_argument("--input-len", type=int, default=sig.PAD_TARGET, dest="input_len")
-    p_prof.add_argument("--window-seconds", type=positive_float, default=5.0, dest="window_seconds")
+    p_prof.add_argument("--window-seconds", type=positive_float, default=sig.WINDOW_SECONDS,
+                        dest="window_seconds")
     p_prof.set_defaults(func=cmd_profile)
     return parser
 

@@ -40,9 +40,10 @@ SOFTMAX_FLOPS_PER_ELEM = 5
 NORM_FLOPS_PER_ELEM = 8
 FUNC_FLOPS_PER_ELEM = 8
 
-# Reference costs for the six standard layouts: millions of
-# parameters and GFLOPs per window encode, used only for the deviation
-# columns of the profile report.
+# The standard grid: the six (depth, cross_per_block, self_per_block)
+# layouts, in ascending cost order, each with its reference cost in
+# millions of parameters and GFLOPs per window encode, against which the
+# deviation columns of the profile report are computed.
 REFERENCE_COSTS: dict[tuple[int, int, int], tuple[float, float]] = {
     (1, 1, 0): (3.62, 1.65),
     (2, 1, 0): (6.84, 3.30),

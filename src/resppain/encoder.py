@@ -36,10 +36,6 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Tensor
 
-# The six standard (depth, cross_per_block, self_per_block) layouts, in
-# ascending cost order.
-STANDARD_GRID = ((1, 1, 0), (2, 1, 0), (1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2))
-
 EMBED_DIM = 512
 
 

@@ -25,10 +25,11 @@ Precision policy:
   float64 only when the closure runs, so a live tape holds no float64
   copy of any weight or activation.  ``gelu`` keeps its float64 Phi(x),
   which costs an ``erf`` to recompute.
-- An op result is adopted, not copied: the array the op has just
-  computed becomes the node's storage and is set read-only.  Only
-  ``Tensor(...)``, ``parameter``, ``constant`` and ``straight_through``
-  take caller arrays, and they copy them before freezing.
+- An array is adopted, not copied: ``Tensor(arr)`` makes the array it
+  is given the node's storage and sets it read-only, and every op result
+  is built that way from the array the op has just computed.  Only
+  ``parameter``, ``constant`` and ``straight_through`` take caller
+  arrays, and they copy them before adopting the copy.
 
 Ops that reduce within their input (softmax, log softmax, layer norm)
 reduce over the last axis, so a vector is simply one row.
@@ -87,18 +88,11 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_id", "_parents", "_bwd", "_consumed")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        # A private C-ordered copy: a caller-owned buffer is never frozen
-        # in place, nor aliased where the caller could still write to it.
-        arr = np.array(data, dtype=dtype, order="C")
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(DEFAULT_DTYPE)
-        self._own(arr, requires_grad)
-
-    def _own(self, arr: np.ndarray, requires_grad: bool) -> None:
-        """Take arr as this node's storage, without copying, and freeze it."""
-        arr.flags.writeable = False
-        self.data = arr
+    def __init__(self, data: np.ndarray, requires_grad: bool = False):
+        """Take data, a C-ordered float array, as this node's storage,
+        without copying, and freeze it."""
+        data.flags.writeable = False
+        self.data = data
         self.requires_grad = bool(requires_grad)
         self._id = next(_node_ids)
         self._parents: tuple[Tensor, ...] = ()
@@ -121,21 +115,23 @@ class Tensor:
 
 
 def parameter(data, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Leaf tensor that collects gradients."""
-    return Tensor(data, requires_grad=True, dtype=dtype)
+    """Leaf tensor that collects gradients, over a private C-ordered copy of
+    data: a caller-owned buffer is never frozen in place, nor aliased where
+    the caller could still write to it."""
+    return Tensor(np.array(data, dtype=dtype, order="C"), requires_grad=True)
 
 
 def constant(data, dtype=DEFAULT_DTYPE) -> Tensor:
-    """Leaf tensor outside the gradient graph."""
-    return Tensor(data, requires_grad=False, dtype=dtype)
+    """Leaf tensor outside the gradient graph, over a private C-ordered copy
+    of data, as in `parameter`."""
+    return Tensor(np.array(data, dtype=dtype, order="C"))
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
     """Adopt an op's freshly computed, C-contiguous result array as a new
     node, recording the closure when the tape is live."""
     track = _grad_enabled.get() and any(p.requires_grad for p in parents)
-    out = Tensor.__new__(Tensor)
-    out._own(data, track)
+    out = Tensor(data, track)
     if track:
         out._parents = parents
         out._bwd = bwd
@@ -144,9 +140,7 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], bwd) -> Tensor:
 
 def _store(arr: np.ndarray, like: Tensor) -> np.ndarray:
     """Round a float64 accumulation back to the storage dtype."""
-    out = np.asarray(arr, dtype=like.data.dtype)
-    # ascontiguousarray would promote 0-d scalars to shape (1,)
-    return out if out.ndim == 0 else np.ascontiguousarray(out)
+    return np.asarray(arr, dtype=like.data.dtype, order="C")
 
 
 def _check_same_dtype(*ts: Tensor) -> None:

@@ -47,7 +47,11 @@ N_CLASSES = len(PainLabel)
 BAND_LOW_HZ = 0.05
 BAND_HIGH_HZ = 0.5
 PAD_TARGET = 1150
+WINDOW_SECONDS = 5.0
 SAMPLE_RATE_HZ = 100.0
+# Every sample count (a record's length, a window, a profiled input) must
+# index an array: it lies in [1, MAX_SAMPLES].
+MAX_SAMPLES = int(np.iinfo(np.intp).max)
 
 
 @dataclass(frozen=True)
@@ -83,7 +87,7 @@ class PreprocessConfig:
     filter_low_hz: float = BAND_LOW_HZ
     filter_high_hz: float = BAND_HIGH_HZ
     pad_len: int = PAD_TARGET
-    window_seconds: float = 5.0
+    window_seconds: float = WINDOW_SECONDS
 
     def __post_init__(self):
         _check_band(self.filter_low_hz, self.filter_high_hz, self.sample_rate_hz)
@@ -194,9 +198,9 @@ def n_windows_for(length: int, window_seconds: float, sample_rate_hz: float) -> 
 def _window_samples(window_seconds: float, sample_rate_hz: float) -> int:
     w_exact = window_seconds * sample_rate_hz
     w = int(round(w_exact)) if math.isfinite(w_exact) else 0
-    if w < 1 or abs(w_exact - w) > 1e-9:
+    if not 1 <= w <= MAX_SAMPLES or abs(w_exact - w) > 1e-9:
         raise DataError(f"window of {window_seconds}s at {sample_rate_hz} Hz is not a whole "
-                        f"positive number of samples ({w_exact})")
+                        f"number of samples in [1, {MAX_SAMPLES}] ({w_exact})")
     return w
 
 
@@ -234,17 +238,18 @@ SYNTH_CLASS_SHAPES: dict[PainLabel, _ClassShape] = {
 }
 SYNTH_FREQ_JITTER_HZ = 0.01
 SYNTH_NOISE_SIGMA = 0.05
+SYNTH_DURATION_S = 10.0
 
 
 def synth_record(label: PainLabel, subject_id: str, rng: np.random.Generator,
-                 duration_s: float = 10.0, sample_rate_hz: float = SAMPLE_RATE_HZ) -> RespirationRecord:
+                 duration_s: float, sample_rate_hz: float) -> RespirationRecord:
     """One synthetic breathing trace for the given class."""
     shape = SYNTH_CLASS_SHAPES[label]
     n_exact = duration_s * sample_rate_hz
     n = int(round(n_exact)) if math.isfinite(n_exact) else 0
-    if not 1 <= n <= np.iinfo(np.intp).max:
+    if not 1 <= n <= MAX_SAMPLES:
         raise DataError(f"{duration_s} s at {sample_rate_hz} Hz is not a sample count "
-                        f"in [1, {np.iinfo(np.intp).max}] ({n_exact})")
+                        f"in [1, {MAX_SAMPLES}] ({n_exact})")
     t = np.arange(n, dtype=np.float64) / sample_rate_hz
     f = shape.carrier_hz + rng.uniform(-SYNTH_FREQ_JITTER_HZ, SYNTH_FREQ_JITTER_HZ)
     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -256,7 +261,7 @@ def synth_record(label: PainLabel, subject_id: str, rng: np.random.Generator,
                              subject_id=subject_id, label=label)
 
 
-def synth_dataset(n_per_class: int, seed: int | list[int], duration_s: float = 10.0,
+def synth_dataset(n_per_class: int, seed: int | list[int], duration_s: float = SYNTH_DURATION_S,
                   sample_rate_hz: float = SAMPLE_RATE_HZ, id_prefix: str = "synth") -> list[RespirationRecord]:
     """Balanced synthetic dataset, bit-reproducible for a given seed."""
     if n_per_class < 1:

@@ -322,7 +322,7 @@ def train(train_records: list[sig.RespirationRecord],
           enc_cfg: enc.EncoderConfig,
           train_cfg: TrainConfig,
           prep: sig.PreprocessConfig,
-          aug_cfg: aug.AugmentConfig | None = None,
+          aug_cfg: aug.AugmentConfig = aug.AugmentConfig(),
           out_dir: str | Path | None = None) -> TrainResult:
     """Run the full loop; returns trained parameters plus per-epoch metrics.
 
@@ -332,8 +332,6 @@ def train(train_records: list[sig.RespirationRecord],
     """
     if not train_records or not val_records:
         raise sig.DataError("train needs non-empty train and val splits")
-    if aug_cfg is None:
-        aug_cfg = aug.AugmentConfig()
     # checks every training record before the first step
     _prepare(train_records, prep, aug.min_length(aug_cfg) if train_cfg.augment_enabled else 1)
     val_prepared = _prepare(val_records, prep)

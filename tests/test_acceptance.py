@@ -183,7 +183,7 @@ def test_criterion_02_attention_matches_bruteforce_oracle():
 
 def test_criterion_03_param_counts_exact_ascending_within_band():
     totals = []
-    for layout in enc.STANDARD_GRID:
+    for layout in cost.REFERENCE_COSTS:
         d, c, s = layout
         cfg = enc.EncoderConfig(depth=d, cross_per_block=c, self_per_block=s)
         analytic = cost.count_params(cfg, n_windows=3).params_total

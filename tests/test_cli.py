@@ -126,14 +126,15 @@ def test_synth_rejects_bad_counts(tmp_path, capsys):
                                              ("--seed", "-1", 2)])
 def test_synth_rejects_bad_duration_and_rate(tmp_path, capsys, flag, value, code):
     # non-finite or non-positive flags are usage errors; a product that
-    # rounds to no sample count in [1, intp max] is a data error
+    # rounds to no sample count in [1, intp max] is a data error.  Either
+    # way no --out directory is made.
     try:
         rc = cli.main(["synth", "--per-class", "1", "--out", str(tmp_path / "x"), flag, value])
     except SystemExit as e:
         rc = e.code
     assert rc == code
     assert "error" in capsys.readouterr().err
-    assert not list(tmp_path.glob("x/*.txt"))
+    assert not (tmp_path / "x").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +284,19 @@ def test_rejected_float_flag_names_the_rule_it_broke(tmp_path, capsys, argv, rul
 
 @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
 def test_train_window_of_no_whole_sample_count_is_a_config_error(workspace, tmp_path, capsys, by_flag):
-    # 0.123 s at 100 Hz is 12.3 samples: the settings fail before the run directory is made
-    cfg = tmp_path / "window.ini"
-    cfg.write_text(MICRO_CONFIG if by_flag else MICRO_CONFIG.replace("window_seconds = 2.0",
-                                                                     "window_seconds = 0.123"))
-    out = tmp_path / "run"
-    rc = cli.main(["train", "--config", str(cfg), "--data", str(workspace["data"] / "manifest.tsv"),
-                   "--out", str(out)] + (["--window-seconds", "0.123"] if by_flag else []))
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "window of 0.123s" in err
-    assert not out.exists()
+    # 0.123 s at 100 Hz is 12.3 samples, and 1e305 s is more samples than
+    # any array holds: the settings fail before the run directory is made
+    for value, named in (("0.123", "window of 0.123s"), ("1e305", "window of 1e+305s")):
+        cfg = tmp_path / "window.ini"
+        cfg.write_text(MICRO_CONFIG if by_flag else MICRO_CONFIG.replace("window_seconds = 2.0",
+                                                                         f"window_seconds = {value}"))
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", str(cfg), "--data", str(workspace["data"] / "manifest.tsv"),
+                       "--out", str(out)] + (["--window-seconds", value] if by_flag else []))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and named in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
@@ -585,6 +588,13 @@ def test_eval_window_mismatch_is_rejected(workspace, capsys):
                    "--window-seconds", "1.0"])
     assert rc == 3
     assert "window count mismatch" in capsys.readouterr().err
+    # a window of more samples than any array holds is rejected as such, not as a mismatch
+    rc = cli.main(["eval", "--checkpoint", str(workspace["run"] / "checkpoint_best.bin"),
+                   "--data", str(workspace["data"] / "manifest.tsv"),
+                   "--window-seconds", "1e305"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "window of 1e+305s" in err and "mismatch" not in err
 
 
 def test_eval_corrupt_checkpoint(workspace, tmp_path, capsys):
@@ -867,8 +877,9 @@ def test_profile_tables(capsys):
 
 
 def test_profile_rejects_window_of_no_whole_sample_count(capsys):
-    # 1e307 s * 100 Hz overflows to inf; 0.0015 s is 0.15 samples
-    for value in ("1e307", "0.0015"):
+    # 1e307 s * 100 Hz overflows to inf; 0.0015 s is 0.15 samples; 1e305 s
+    # is 1e307 samples, more than any array holds
+    for value in ("1e307", "0.0015", "1e305"):
         assert cli.main(["profile", "--window-seconds", value]) == 3
         captured = capsys.readouterr()
         assert "data error" in captured.err and captured.out == ""
@@ -880,8 +891,10 @@ def test_profile_custom_input_len(capsys):
     assert "600-sample input" in out
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("value", ["0", "-5", pytest.param(str(sig.MAX_SAMPLES + 1), id="intp_max+1"),
+                                   pytest.param("1" + "0" * 400, id="1e400")])
 def test_profile_rejects_input_len_below_one(capsys, value):
+    # below one, or above the sample-count bound that no array could hold
     assert cli.main(["profile", "--input-len", value]) == 2
     captured = capsys.readouterr()
     assert "config error" in captured.err and "--input-len" in captured.err and captured.out == ""

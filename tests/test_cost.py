@@ -27,7 +27,7 @@ def _cfg(layout, base=SMALL):
 # parameters: analytic == enumeration
 
 def test_param_count_equals_enumeration_all_layouts():
-    for layout in enc.STANDARD_GRID:
+    for layout in cost.REFERENCE_COSTS:
         cfg = _cfg(layout)
         analytic = cost.count_params(cfg, n_windows=3).params_total
         params = trn.init_pipeline_params(cfg, "lf_avg_gate", 3, 3, np.random.default_rng(0))
@@ -55,7 +55,7 @@ def test_param_count_encoder_only_matches():
 def test_param_totals_strictly_ascend_across_grid():
     defaults = enc.EncoderConfig()
     totals = [cost.count_params(_cfg(l, defaults), n_windows=3).params_total
-              for l in enc.STANDARD_GRID]
+              for l in cost.REFERENCE_COSTS]
     assert all(a < b for a, b in zip(totals, totals[1:])), totals
 
 
@@ -130,7 +130,7 @@ def _encode_flops_independent(cfg: enc.EncoderConfig, t: int) -> int:
 
 
 def test_encode_flops_matches_independent_recount():
-    for layout in enc.STANDARD_GRID:
+    for layout in cost.REFERENCE_COSTS:
         cfg = _cfg(layout)
         for t in (1, 7, 200):
             assert cost.encode_flops(cfg, t) == _encode_flops_independent(cfg, t), (layout, t)
@@ -155,10 +155,10 @@ def test_reference_cost_ordering_is_reproduced():
     # computed params and per-window FLOPs both ascend in the same order
     # as the bundled reference table
     defaults = enc.EncoderConfig()
-    params = [cost.count_params(_cfg(l, defaults), 3).params_total for l in enc.STANDARD_GRID]
-    flops = [cost.encode_flops(_cfg(l, defaults), 500) for l in enc.STANDARD_GRID]
-    ref_params = [cost.REFERENCE_COSTS[l][0] for l in enc.STANDARD_GRID]
-    ref_flops = [cost.REFERENCE_COSTS[l][1] for l in enc.STANDARD_GRID]
+    params = [cost.count_params(_cfg(l, defaults), 3).params_total for l in cost.REFERENCE_COSTS]
+    flops = [cost.encode_flops(_cfg(l, defaults), 500) for l in cost.REFERENCE_COSTS]
+    ref_params = [cost.REFERENCE_COSTS[l][0] for l in cost.REFERENCE_COSTS]
+    ref_flops = [cost.REFERENCE_COSTS[l][1] for l in cost.REFERENCE_COSTS]
     assert sorted(params) == params and sorted(ref_params) == ref_params
     assert sorted(flops) == flops and sorted(ref_flops) == ref_flops
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import gradcheck, weighted_sum
+from resppain import cost
 from resppain import numerics as nm
 from resppain import encoder as enc
 from resppain import training as trn
@@ -110,8 +111,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         enc.EncoderConfig(max_freq_hz=0.0)
     assert enc.EncoderConfig().layout() == (1, 1, 0)
-    assert enc.STANDARD_GRID[0] == (1, 1, 0)
-    assert len(enc.STANDARD_GRID) == 6
+    assert next(iter(cost.REFERENCE_COSTS)) == (1, 1, 0)
+    assert len(cost.REFERENCE_COSTS) == 6
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,7 @@ def test_synth_carrier_frequencies_recoverable():
     for label, shape in sig.SYNTH_CLASS_SHAPES.items():
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
-            rec = sig.synth_record(label, "s", rng, duration_s=60.0)
+            rec = sig.synth_record(label, "s", rng, duration_s=60.0, sample_rate_hz=FS)
             x = rec.samples.astype(np.float64)
             x -= x.mean()
             n_fft = 1 << 18
@@ -346,7 +346,7 @@ def test_synth_class_ordering():
 
 def test_record_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(5)
-    rec = sig.synth_record(sig.PainLabel.HIGH_PAIN, "subj_07", rng)
+    rec = sig.synth_record(sig.PainLabel.HIGH_PAIN, "subj_07", rng, 10.0, FS)
     p = tmp_path / "rec.txt"
     sig.save_record(p, rec)
     back = sig.load_record(p)
